@@ -200,6 +200,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.preset is not None:
         params["preset"] = args.preset
         if args.preset in DELTA_FAMILY_PRESETS:
+            if args.mode != "exact":
+                print(f"sweep --preset {args.preset} is exact-only; drop --mode {args.mode}",
+                      file=sys.stderr)
+                return 2
             table = sweep_delta_family(n_photons=args.photons)
             csv_path = out_dir / "delta_family.csv"
             write_delta_family_csv(table, csv_path)

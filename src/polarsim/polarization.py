@@ -1,5 +1,6 @@
 """Linear-polarization qubit kernel: pure states, density operators, mixtures,
-rotations, Stokes coordinates, and closed-form 2x2 eigendecomposition.
+rotations, Stokes coordinates, and closed-form 2x2 eigendecomposition, plus
+the elementwise Bloch-vector kernel that exact mode runs on.
 
 Everything here is an exact, deterministic function of its inputs. Angles are
 degrees throughout, canonicalized to [0, 180) because a linear polarization at
@@ -70,13 +71,16 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.isfinite(m.view(float)).all():
             raise ValueError("density matrix entries must be finite")
-        if abs(m[0, 1] - np.conj(m[1, 0])) > HERMITICITY_TOL:
+        # the checks below run on Python complex numbers, which cost less
+        # than numpy scalars
+        m00, m01, m10, m11 = m.ravel().tolist()
+        if abs(m01 - m10.conjugate()) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if abs(m[0, 0].imag) > HERMITICITY_TOL or abs(m[1, 1].imag) > HERMITICITY_TOL:
+        if abs(m00.imag) > HERMITICITY_TOL or abs(m11.imag) > HERMITICITY_TOL:
             raise ValueError("density matrix diagonal must be real")
-        if abs(m[0, 0].real + m[1, 1].real - 1.0) > TRACE_TOL:
+        if abs(m00.real + m11.real - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace must be 1, got {np.trace(m).real}")
         lmin = _eigvals_2x2(m)[1]
         if lmin < -PSD_TOL:
@@ -212,7 +216,7 @@ def eigendecompose(rho: DensityMatrix) -> Spectrum:
     a = m[0, 0].real
     c = m[0, 1]
     if abs(c) < 1e-300:
-        principal = 0.0 if lmax >= m[1, 1].real else 90.0
+        principal = 0.0 if a >= m[1, 1].real else 90.0
     else:
         # eigenvector for lmax is (c, lmax - a); rotate the global phase so the
         # first component is real and positive before reading off the angle
@@ -226,6 +230,56 @@ def eigendecompose(rho: DensityMatrix) -> Spectrum:
 def matrix_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Frobenius distance between two density matrices."""
     return float(np.linalg.norm(a.matrix - b.matrix))
+
+
+# Bloch-vector kernel. A linear polarization at angle t has the real Stokes
+# vector (sin 2t, 0, cos 2t), and a mixture has the weighted mean of its
+# components' vectors, so every exact-mode quantity is a closed form on the
+# two components (s1, s3). The functions below are elementwise: scalars give
+# scalars, arrays give arrays of the same shape, with no Python loop.
+
+
+class BlochSummary(NamedTuple):
+    """Closed-form spectrum of the states with linear Stokes components
+    (s1, s3), r = |(s1, s3)|: purity (1 + r^2)/2, eigenvalues (1 +- r)/2, and
+    the principal axis atan2(s1, s3)/2 mod 180, which is NaN where the
+    spectrum is degenerate (r < DEGENERACY_TOL)."""
+
+    purity: np.ndarray
+    lambda_max: np.ndarray
+    lambda_min: np.ndarray
+    principal_angle_deg: np.ndarray
+
+
+def linear_stokes(angle_degrees):
+    """Stokes components (s1, s3) of linear polarizations at angles already
+    reduced to [0, 180); s2 is zero for every linear state."""
+    t = np.radians(2.0 * angle_degrees)
+    return np.sin(t), np.cos(t)
+
+
+def bloch_summary(s1, s3) -> BlochSummary:
+    """Spectrum of the states (s1, s3); rejects non-finite or non-physical
+    (outside the Poincare sphere) components."""
+    r2 = s1 * s1 + s3 * s3
+    # ufuncs return numpy scalars or arrays, whose .all()/.any() cost less
+    # than np.all/np.any on a batch of one
+    if not np.isfinite(r2).all():
+        raise ValueError("Stokes components must be finite")
+    if np.greater(r2, 1.0 + PSD_TOL).any():
+        raise ValueError(f"Stokes vector outside the Poincare sphere: |s|^2 = {np.max(r2)}")
+    norm = np.hypot(s1, s3)
+    # a tiny negative angle rounds up to 180 under the first %; the second
+    # maps that to 0 and leaves every angle in [0, 180) unchanged
+    angle = np.degrees(np.arctan2(s1, s3)) / 2.0 % 180.0 % 180.0
+    angle = np.where(norm < DEGENERACY_TOL, np.nan, angle)
+    return BlochSummary(0.5 * (1.0 + r2), 0.5 * (1.0 + norm), 0.5 * (1.0 - norm), angle)
+
+
+def bloch_distance(a1, a3, b1, b3):
+    """Frobenius distance |r_a - r_b| / sqrt(2) between the density matrices
+    of linear Stokes components (a1, a3) and (b1, b3)."""
+    return np.hypot(a1 - b1, a3 - b3) / math.sqrt(2.0)
 
 
 def render_matrix(rho: DensityMatrix) -> str:

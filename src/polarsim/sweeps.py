@@ -8,6 +8,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -17,15 +18,16 @@ import numpy as np
 from .polarization import (
     DensityMatrix,
     density_of_pure,
-    eigendecompose,
+    linear_stokes,
     normalize_angle,
     pure_state,
-    purity,
 )
 from .protocol import (
     Decision,
     EveConfig,
     ProtocolConfig,
+    exact_assessment,
+    received_stokes,
     run_protocol,
 )
 from .tomography import TomographyConfig
@@ -72,39 +74,59 @@ class SweepRecord:
 
 
 def _point_seed(base_seed: int, siphon_total: int) -> int:
-    # per-point seed so parallel and serial evaluation give identical output
+    # per-point seed, so a sampled point does not depend on which other
+    # totals the sweep contains or on their order
     return int(np.random.SeedSequence(entropy=(base_seed, siphon_total)).generate_state(1)[0])
 
 
+def _sampled_point(spec: SweepSpec, total: int) -> SweepRecord:
+    eve = EveConfig(
+        siphon_stage1=total // 2,
+        siphon_stage2=total // 2,
+        injection_angle_deg=spec.phi_deg,
+        enabled=total > 0,
+    )
+    config = ProtocolConfig(
+        n_photons=spec.n_photons,
+        alice_angle_deg=spec.theta_deg,
+        bob_bit=spec.bob_bit,
+        eve=eve,
+        mode=spec.mode,
+        tomography=TomographyConfig(seed=_point_seed(spec.seed, total)),
+    )
+    outcome = run_protocol(config)
+    return SweepRecord(
+        siphon_total=total,
+        lambda_max=outcome.spectrum.lambda_max,
+        peak_angle_deg=outcome.spectrum.principal_angle_deg,
+        purity=outcome.purity_received,
+        detected=outcome.decision is Decision.EVE_DETECTED,
+    )
+
+
 def sweep_siphon(spec: SweepSpec) -> List[SweepRecord]:
-    """One protocol run per siphon total, split evenly across the two stages."""
-    records = []
-    for total in spec.siphon_totals:
-        eve = EveConfig(
-            siphon_stage1=total // 2,
-            siphon_stage2=total // 2,
-            injection_angle_deg=spec.phi_deg,
-            enabled=total > 0,
+    """One protocol run per siphon total, split evenly across the two stages.
+
+    Exact mode evaluates every total in one call of the Bloch-vector kernel;
+    sampled mode runs the protocol once per total.
+    """
+    if spec.mode == "sampled":
+        return [_sampled_point(spec, total) for total in spec.siphon_totals]
+    half = np.array(spec.siphon_totals, dtype=np.int64) // 2
+    s1, s3 = received_stokes(
+        spec.n_photons, spec.theta_deg, spec.bob_bit, half, half, spec.phi_deg
+    )
+    checks = exact_assessment(s1, s3, spec.theta_deg)
+    return [
+        SweepRecord(*fields)
+        for fields in zip(
+            spec.siphon_totals,
+            checks.lambda_max,
+            checks.principal_angle_deg,
+            checks.purity,
+            checks.detected,
         )
-        config = ProtocolConfig(
-            n_photons=spec.n_photons,
-            alice_angle_deg=spec.theta_deg,
-            bob_bit=spec.bob_bit,
-            eve=eve,
-            mode=spec.mode,
-            tomography=TomographyConfig(seed=_point_seed(spec.seed, total)),
-        )
-        outcome = run_protocol(config)
-        records.append(
-            SweepRecord(
-                siphon_total=total,
-                lambda_max=outcome.spectrum.lambda_max,
-                peak_angle_deg=outcome.spectrum.principal_angle_deg,
-                purity=outcome.purity_received,
-                detected=outcome.decision is Decision.EVE_DETECTED,
-            )
-        )
-    return records
+    ]
 
 
 def mixture_density(theta_deg: float, phi_deg: float, fraction: float) -> DensityMatrix:
@@ -136,26 +158,31 @@ def sweep_delta_family(
 ) -> Dict[Tuple[float, float], SweepRecord]:
     """Peak intensity and angle over (angle gap, Eve fraction) combinations.
 
-    Eve's angle is base_theta + delta; records come from the exact mixture.
+    Eve's angle is base_theta + delta; records come from the exact mixture,
+    the whole grid in one call of the Bloch-vector kernel, and `detected`
+    from Alice's decision rule against her hypotheses for base_theta.
     """
     if not deltas:
         raise ValueError("deltas must be nonempty")
     for f in fraction_grid:
         if not 0.0 <= f <= 0.5:
             raise ValueError(f"fractions must be in [0, 0.5], got {f}")
+    theta = normalize_angle(base_theta)
+    a1, a3 = linear_stokes(theta)
+    b1, b3 = linear_stokes(np.array([[normalize_angle(base_theta + d)] for d in deltas]))
+    f = np.array(fraction_grid, dtype=float)
+    checks = exact_assessment((1.0 - f) * a1 + f * b1, (1.0 - f) * a3 + f * b3, theta)
     table: Dict[Tuple[float, float], SweepRecord] = {}
-    for delta in deltas:
-        phi = normalize_angle(base_theta + delta)
-        for f in fraction_grid:
-            rho = mixture_density(base_theta, phi, f)
-            spectrum = eigendecompose(rho)
-            table[(delta, f)] = SweepRecord(
-                siphon_total=round(f * n_photons),
-                lambda_max=spectrum.lambda_max,
-                peak_angle_deg=spectrum.principal_angle_deg,
-                purity=purity(rho),
-                detected=f > 0,
-            )
+    for (delta, fraction), lambda_max, angle, purity, detected in zip(
+        itertools.product(deltas, fraction_grid), *checks
+    ):
+        table[(delta, fraction)] = SweepRecord(
+            siphon_total=round(fraction * n_photons),
+            lambda_max=lambda_max,
+            peak_angle_deg=angle,
+            purity=purity,
+            detected=detected,
+        )
     return table
 
 

@@ -1,7 +1,47 @@
+import hashlib
+
 import pytest
 
 import polarsim as ps
 from polarsim.cli import main
+
+# sha256 of every exact-mode preset CSV, recorded from the complex 2x2 matrix
+# path before exact mode moved to the Bloch-vector kernel. Consecutive figures
+# share one sweep; at bit 1 Eve's two injections (at phi + 90 and phi) cancel,
+# so fig8-fig11, which all have theta = 30, agree there.
+PRESET_CSV_SHA256 = {
+    ("fig4", 0): "cc58a31cab8f6f01c2919dedac2dfa3f99d9304d3fc0fcd233b304e346c7f7e4",
+    ("fig4", 1): "0546f92424c9038718e1d5f4964c8f5581d6329bf210dec1408d189340aef480",
+    ("fig5", 0): "cc58a31cab8f6f01c2919dedac2dfa3f99d9304d3fc0fcd233b304e346c7f7e4",
+    ("fig5", 1): "0546f92424c9038718e1d5f4964c8f5581d6329bf210dec1408d189340aef480",
+    ("fig6", 0): "f914cbbc82ff76741cc2be1c547d04b7ec30822179254e75c484e647c3223c2b",
+    ("fig6", 1): "5874893ba92923a17f7713ac80e7e404ceb4e6192216ee831b61590850d6a206",
+    ("fig7", 0): "f914cbbc82ff76741cc2be1c547d04b7ec30822179254e75c484e647c3223c2b",
+    ("fig7", 1): "5874893ba92923a17f7713ac80e7e404ceb4e6192216ee831b61590850d6a206",
+    ("fig8", 0): "a4c9cc41d3918a6e18b54718134f74f95f5ca6079cfebb6b2beb29b8aa472e95",
+    ("fig8", 1): "4f62c19aa9ee316efec46b1468ef109090ce308374bf2ad2c8d5f4c3fd49b141",
+    ("fig9", 0): "a4c9cc41d3918a6e18b54718134f74f95f5ca6079cfebb6b2beb29b8aa472e95",
+    ("fig9", 1): "4f62c19aa9ee316efec46b1468ef109090ce308374bf2ad2c8d5f4c3fd49b141",
+    ("fig10", 0): "71a5379c5c48cebd55a04283baa423ed5514b83646817b754e6e979add009789",
+    ("fig10", 1): "4f62c19aa9ee316efec46b1468ef109090ce308374bf2ad2c8d5f4c3fd49b141",
+    ("fig11", 0): "71a5379c5c48cebd55a04283baa423ed5514b83646817b754e6e979add009789",
+    ("fig11", 1): "4f62c19aa9ee316efec46b1468ef109090ce308374bf2ad2c8d5f4c3fd49b141",
+}
+DELTA_FAMILY_CSV_SHA256 = "300b34157bc815705f84cfeb60fa29596255dc844bfbea33e93f388e8897d6ab"
+
+# the README's canonical attack run, recorded alongside the preset digests
+CANONICAL_ATTACK_BLOCK = """\
+decision=EveDetected
+purity=0.978564
+dist_h0=0.073205
+dist_h90=1.397057
+lambda_max=0.989165
+lambda_min=0.010835
+principal_angle_deg=32.933369
+intensity_sent=100
+intensity_after_stage1=100
+intensity_after_stage2=100
+"""
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +67,16 @@ class TestProtocolCommand:
         assert block["decision"] == "EveDetected"
         assert float(block["lambda_max"]) == pytest.approx(0.9892, abs=5e-4)
         assert float(block["principal_angle_deg"]) == pytest.approx(32.93, abs=0.05)
+
+    def test_worked_attack_golden_bytes(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "protocol", "--theta", "30", "--bit", "0", "--photons", "100",
+            "--eve-siphon1", "10", "--eve-siphon2", "10", "--eve-angle", "45",
+            "--mode", "exact",
+        )
+        assert code == 0
+        assert out == CANONICAL_ATTACK_BLOCK
 
     def test_no_eve_bit1(self, capsys):
         code, out, _ = run_cli(
@@ -106,6 +156,32 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--theta", "30", "--out", str(tmp_path))
         assert code == 2
         assert "--preset" in err
+
+    @pytest.mark.parametrize("preset, bit", sorted(PRESET_CSV_SHA256))
+    def test_preset_csv_golden_bytes(self, capsys, tmp_path, preset, bit):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--preset", preset, "--bit", str(bit), "--mode", "exact",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / f"{preset}.csv").read_bytes()).hexdigest()
+        assert digest == PRESET_CSV_SHA256[(preset, bit)]
+
+    @pytest.mark.parametrize("preset", ["delta-family", "fig12", "fig13"])
+    def test_delta_family_csv_golden_bytes(self, capsys, tmp_path, preset):
+        code, _, _ = run_cli(capsys, "sweep", "--preset", preset, "--out", str(tmp_path))
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "delta_family.csv").read_bytes()).hexdigest()
+        assert digest == DELTA_FAMILY_CSV_SHA256
+
+    @pytest.mark.parametrize("preset", ["delta-family", "fig12", "fig13"])
+    def test_delta_family_refuses_sampled_mode(self, capsys, tmp_path, preset):
+        code, _, err = run_cli(
+            capsys, "sweep", "--preset", preset, "--mode", "sampled", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "exact-only" in err
+        assert not (tmp_path / "manifest.txt").exists()
 
     def test_reproducible_output(self, capsys, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

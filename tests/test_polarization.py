@@ -217,6 +217,12 @@ class TestEigendecompose:
         assert spec.principal_angle_deg == pytest.approx(MIX_ANGLE, abs=1e-9)
         assert spec.minor_angle_deg == pytest.approx(MIX_ANGLE + 90, abs=1e-9)
 
+    @pytest.mark.parametrize("diagonal, angle", [((0.7, 0.3), 0.0), ((0.3, 0.7), 90.0)])
+    def test_diagonal_state_axis(self, diagonal, angle):
+        # exactly zero coherence: the principal axis is the larger diagonal entry's
+        spec = ps.eigendecompose(DensityMatrix(np.diag(diagonal)))
+        assert spec.principal_angle_deg == angle
+
     def test_degenerate_angles_undefined(self):
         spec = ps.eigendecompose(DensityMatrix(np.eye(2) / 2))
         assert spec.lambda_max == pytest.approx(0.5)

@@ -102,6 +102,13 @@ class TestSweepDeltaFamily:
         for (_, f), rec in table.items():
             assert rec.lambda_max == pytest.approx(1.0, abs=1e-12)
 
+    def test_zero_delta_is_the_blind_spot(self):
+        # Eve at Alice's own angle leaves the received state pure and on
+        # Alice's hypothesis, so the decision rule cannot see her
+        table = ps.sweep_delta_family(deltas=[0.0, 15.0])
+        for (delta, f), rec in table.items():
+            assert rec.detected is (delta > 0 and f > 0)
+
     def test_lambda_ordering_across_deltas(self):
         table = ps.sweep_delta_family()
         for f in DEFAULT_FRACTIONS:
