@@ -18,6 +18,7 @@ from .polarization import (
     PhotonEnsemble,
     eigendecompose,
     ensemble_density,
+    format_decimal,
     purity,
     render_matrix,
 )
@@ -89,6 +90,11 @@ def _parse_totals(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad totals list {text!r}") from None
 
 
+# sweep flags that the delta-family presets do not use; they default to None
+# so that an explicit value can be refused there
+SWEEP_DEFAULTS = {"bit": 0, "photons": 100, "seed": 0}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polarsim",
@@ -118,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=float, help="Alice's angle for a custom sweep (deg)")
     s.add_argument("--phi", type=float, help="Eve's angle for a custom sweep (deg)")
     s.add_argument("--totals", type=_parse_totals, help="comma-separated siphon totals")
-    s.add_argument("--bit", type=int, choices=(0, 1), default=0)
-    s.add_argument("--photons", type=int, default=100)
+    s.add_argument("--bit", type=int, choices=(0, 1), help="Bob's bit (default 0)")
+    s.add_argument("--photons", type=int, help="photons Alice sends (default 100)")
     s.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, help="RNG seed, sampled mode (default 0)")
     s.add_argument("--out", type=Path, required=True, help="output directory")
 
     t = sub.add_parser("tomography", help="simulate tomography of a known ensemble")
@@ -192,6 +198,18 @@ def _write_sweep_meta(path: Path, spec: SweepSpec) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.preset in DELTA_FAMILY_PRESETS:
+        if args.mode != "exact":
+            print(f"sweep --preset {args.preset} is exact-only; drop --mode {args.mode}",
+                  file=sys.stderr)
+            return 2
+        unused = [f"--{name}" for name in SWEEP_DEFAULTS if getattr(args, name) is not None]
+        if unused:
+            print(f"sweep --preset {args.preset} takes no {', '.join(unused)}", file=sys.stderr)
+            return 2
+    for name, default in SWEEP_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: List[Path] = []
@@ -200,11 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.preset is not None:
         params["preset"] = args.preset
         if args.preset in DELTA_FAMILY_PRESETS:
-            if args.mode != "exact":
-                print(f"sweep --preset {args.preset} is exact-only; drop --mode {args.mode}",
-                      file=sys.stderr)
-                return 2
-            table = sweep_delta_family(n_photons=args.photons)
+            table = sweep_delta_family()
             csv_path = out_dir / "delta_family.csv"
             write_delta_family_csv(table, csv_path)
             outputs.append(csv_path)
@@ -279,7 +293,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     print(f"reconstructed={render_matrix(rho_hat)}")
     print(f"purity={purity(rho_hat):.6f}")
     print(f"lambda_max={spectrum.lambda_max:.6f}")
-    print(f"lambda_min={spectrum.lambda_min:.6f}")
+    print(f"lambda_min={format_decimal(spectrum.lambda_min)}")
     angle = spectrum.principal_angle_deg
     print("principal_angle_deg=" + ("" if angle is None else f"{angle:.6f}"))
 

@@ -20,12 +20,6 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_0, SIGMA_1, SIGMA_2, SIGMA_3)
-
 
 def normalize_angle(raw_degrees: float) -> float:
     """Reduce an angle in degrees to the canonical range [0, 180)."""
@@ -182,6 +176,13 @@ def stokes_from_density(rho: DensityMatrix) -> StokesVector:
     )
 
 
+def stokes_matrix(s: StokesVector) -> np.ndarray:
+    """The unvalidated matrix (1/2) sum_i S_i sigma_i of a Stokes vector."""
+    return 0.5 * np.array(
+        [[s.s0 + s.s3, s.s1 - 1j * s.s2], [s.s1 + 1j * s.s2, s.s0 - s.s3]], dtype=complex
+    )
+
+
 def density_from_stokes(s: StokesVector) -> DensityMatrix:
     """Inverse of stokes_from_density: rho = (1/2) sum_i S_i sigma_i.
 
@@ -190,8 +191,7 @@ def density_from_stokes(s: StokesVector) -> DensityMatrix:
     r2 = s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3
     if r2 > 1.0 + PSD_TOL:
         raise ValueError(f"Stokes vector outside the Poincare sphere: |s|^2 = {r2}")
-    m = 0.5 * (s.s0 * SIGMA_0 + s.s1 * SIGMA_1 + s.s2 * SIGMA_2 + s.s3 * SIGMA_3)
-    return DensityMatrix(m)
+    return DensityMatrix(stokes_matrix(s))
 
 
 def _eigvals_2x2(m: np.ndarray) -> Tuple[float, float]:
@@ -225,6 +225,23 @@ def eigendecompose(rho: DensityMatrix) -> Spectrum:
         principal = normalize_angle(math.degrees(math.atan2(v1, abs(c))))
     minor = normalize_angle(principal + 90.0)
     return Spectrum(lmax, lmin, principal, minor)
+
+
+def stokes_spectrum(s: StokesVector) -> Spectrum:
+    """Closed-form eigendecomposition of the state with Stokes vector s,
+    r = |(s1, s2, s3)|: eigenvalues (1 +- r)/2, and the principal angle that
+    eigendecompose reads off the matrix, atan2((r - s3) s1, s1^2 + s2^2) in
+    degrees (0 for H, 90 for V); angles are None when r < DEGENERACY_TOL."""
+    norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
+    lmax, lmin = 0.5 * (1.0 + norm), 0.5 * (1.0 - norm)
+    if norm < DEGENERACY_TOL:
+        return Spectrum(lmax, lmin, None, None)
+    transverse = s.s1 * s.s1 + s.s2 * s.s2
+    if transverse == 0.0:
+        principal = 0.0 if s.s3 >= 0.0 else 90.0
+    else:
+        principal = normalize_angle(math.degrees(math.atan2((norm - s.s3) * s.s1, transverse)))
+    return Spectrum(lmax, lmin, principal, normalize_angle(principal + 90.0))
 
 
 def matrix_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -282,6 +299,13 @@ def bloch_distance(a1, a3, b1, b3):
     return np.hypot(a1 - b1, a3 - b3) / math.sqrt(2.0)
 
 
+def format_decimal(x: float) -> str:
+    """Six decimals; a value that rounds to zero prints as 0.000000, never
+    with the sign of its rounding residue."""
+    text = f"{x:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
 def render_matrix(rho: DensityMatrix) -> str:
     """Row-major fixed-point text rendering for CLI output."""
     m = rho.matrix
@@ -291,8 +315,8 @@ def render_matrix(rho: DensityMatrix) -> str:
         for j in range(2):
             z = m[i, j]
             if abs(z.imag) > 5e-7:
-                cells.append(f"{z.real:.6f}{z.imag:+.6f}j")
+                cells.append(f"{format_decimal(z.real)}{z.imag:+.6f}j")
             else:
-                cells.append(f"{z.real:.6f}")
+                cells.append(format_decimal(z.real))
         rows.append("[" + ", ".join(cells) + "]")
     return "[" + ", ".join(rows) + "]"

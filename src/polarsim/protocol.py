@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,15 +24,17 @@ from .polarization import (
     bloch_distance,
     bloch_summary,
     density_of_pure,
-    eigendecompose,
     ensemble_density,
+    format_decimal,
     linear_stokes,
     matrix_distance,
     normalize_angle,
     pure_state,
     purity,
+    stokes_from_density,
+    stokes_spectrum,
 )
-from .tomography import TomographyConfig, reconstruct, sample_counts
+from .tomography import TomographyConfig, clamp_probability, reconstruct, sample_counts
 
 PROTOCOL_CSV_HEADER = (
     "decision,purity,dist_h0,dist_h90,lambda_max,principal_angle_deg,"
@@ -53,6 +55,9 @@ EVE_CODE = DECISIONS.index(Decision.EVE_DETECTED)
 # exact-mode thresholds, and the floors of the sampled-mode ones
 EXACT_EPS_DISTANCE = 1e-9
 EXACT_EPS_PURITY = 1e-6
+
+# numpy draws a hypergeometric variate only from populations below this size
+MAX_SAMPLED_PHOTONS = 10**9
 
 
 @dataclass(frozen=True)
@@ -129,12 +134,12 @@ class ProtocolOutcome:
         angle = self.spectrum.principal_angle_deg
         lines = [
             f"decision={self.decision.value}",
-            f"purity={self.purity_received:.6f}",
-            f"dist_h0={self.dist_to_h0:.6f}",
-            f"dist_h90={self.dist_to_h90:.6f}",
-            f"lambda_max={self.spectrum.lambda_max:.6f}",
-            f"lambda_min={self.spectrum.lambda_min:.6f}",
-            "principal_angle_deg=" + ("" if angle is None else f"{angle:.6f}"),
+            f"purity={format_decimal(self.purity_received)}",
+            f"dist_h0={format_decimal(self.dist_to_h0)}",
+            f"dist_h90={format_decimal(self.dist_to_h90)}",
+            f"lambda_max={format_decimal(self.spectrum.lambda_max)}",
+            f"lambda_min={format_decimal(self.spectrum.lambda_min)}",
+            "principal_angle_deg=" + ("" if angle is None else format_decimal(angle)),
             f"intensity_sent={self.stage_intensities[0]}",
             f"intensity_after_stage1={self.stage_intensities[1]}",
             f"intensity_after_stage2={self.stage_intensities[2]}",
@@ -146,43 +151,16 @@ class ProtocolOutcome:
         return ",".join(
             [
                 self.decision.value,
-                f"{self.purity_received:.6f}",
-                f"{self.dist_to_h0:.6f}",
-                f"{self.dist_to_h90:.6f}",
-                f"{self.spectrum.lambda_max:.6f}",
-                "" if angle is None else f"{angle:.6f}",
+                format_decimal(self.purity_received),
+                format_decimal(self.dist_to_h0),
+                format_decimal(self.dist_to_h90),
+                format_decimal(self.spectrum.lambda_max),
+                "" if angle is None else format_decimal(angle),
                 str(self.stage_intensities[0]),
                 str(self.stage_intensities[1]),
                 str(self.stage_intensities[2]),
             ]
         )
-
-
-# Sampled-mode stream: (count, angle_deg, is_eve_injection) per population.
-_Stream = List[Tuple[int, float, bool]]
-
-
-def _eve_stage(
-    stream: _Stream, siphon: int, injection_angle: float, rng: np.random.Generator
-) -> None:
-    """Random siphon of `siphon` photons drawn uniformly without replacement,
-    then as many injected at Eve's angle."""
-    if siphon == 0:
-        return
-    counts = [c for c, _, _ in stream]
-    if siphon > sum(counts):
-        raise ValueError("siphon count exceeds photons present at this stage")
-    taken = rng.multivariate_hypergeometric(counts, siphon)
-    stream[:] = [(c - int(r), ang, is_eve) for (c, ang, is_eve), r in zip(stream, taken)]
-    stream.append((siphon, injection_angle, True))
-
-
-def _stream_total(stream: _Stream) -> int:
-    return sum(c for c, _, _ in stream)
-
-
-def _stream_ensemble(stream: _Stream) -> PhotonEnsemble:
-    return PhotonEnsemble(tuple((c, ang) for c, ang, _ in stream if c > 0))
 
 
 def _check_siphon(siphon, available) -> None:
@@ -195,19 +173,25 @@ def _check_siphon(siphon, available) -> None:
         )
 
 
-def _received_populations(n, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float):
-    """(count, angle) of the three populations Alice receives in exact mode.
+def _received_populations(
+    n, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float, taken2
+):
+    """(count, angle) of the three populations Alice receives, in the order
+    they joined the beam: hers, Eve's stage-1 injection, Eve's stage-2
+    injection.
 
-    Eve siphons only Alice's photons (siphoning her own injections back out
-    gains her nothing), `siphon1` before Bob and `siphon2` after him, and
-    injects as many at phi each time; Bob rotates everything at his station
-    by 90 deg per bit. Alice gets back n - siphon1 - siphon2 photons at
-    theta + 90b, siphon1 at phi + 90b and siphon2 at phi.
+    Eve siphons `siphon1` of Alice's photons before Bob and `siphon2` photons
+    after him, `taken2` of them Alice's, and injects as many at phi each
+    time; Bob rotates everything at his station by 90 deg per bit. In exact
+    mode Eve siphons only Alice's photons (taken2 = siphon2: siphoning her
+    own injections back out gains her nothing), so Alice gets back
+    n - siphon1 - siphon2 photons at theta + 90b, siphon1 at phi + 90b and
+    siphon2 at phi.
     """
     rotation = 90.0 * bob_bit
     return (
-        (n - siphon1 - siphon2, normalize_angle(theta_deg + rotation)),
-        (siphon1, normalize_angle(phi_deg + rotation)),
+        (n - siphon1 - taken2, normalize_angle(theta_deg + rotation)),
+        (siphon1 - (siphon2 - taken2), normalize_angle(phi_deg + rotation)),
         (siphon2, phi_deg),
     )
 
@@ -219,7 +203,7 @@ def received_stokes(n: int, theta_deg: float, bob_bit: int, siphon1, siphon2, ph
     _check_siphon(siphon1, n)
     _check_siphon(siphon2, n - siphon1)
     (na, ta), (nb, tb), (nc, tc) = _received_populations(
-        n, theta_deg, bob_bit, siphon1, siphon2, phi_deg
+        n, theta_deg, bob_bit, siphon1, siphon2, phi_deg, siphon2
     )
     a1, a3 = linear_stokes(ta)
     b1, b3 = linear_stokes(tb)
@@ -313,7 +297,7 @@ def _run_exact(
     s1, s3 = received_stokes(n, theta, config.bob_bit, *siphons, phi)
     summary = bloch_summary(s1, s3)
     dist_h0, dist_h90 = hypothesis_distances(s1, s3, theta)
-    populations = _received_populations(n, theta, config.bob_bit, *siphons, phi)
+    populations = _received_populations(n, theta, config.bob_bit, *siphons, phi, siphons[1])
     rho_received = ensemble_density(PhotonEnsemble(tuple(p for p in populations if p[0] > 0)))
     angle = summary.principal_angle_deg
     angle = None if math.isnan(angle) else float(angle)
@@ -336,49 +320,91 @@ def _run_exact(
     )
 
 
+def _sampled_populations(config: ProtocolConfig, rng: np.random.Generator):
+    """(count, angle) of the populations Alice receives in sampled mode
+    (see _received_populations), with Eve's siphons drawn uniformly without
+    replacement from everything in the beam.
+
+    At stage 1 the beam holds only Alice's photons, so Eve takes exactly
+    siphon1 of them and nothing is drawn. At stage 2 the number of Alice's
+    photons among her siphon2 is hypergeometric over Alice's n - siphon1 and
+    Eve's siphon1; numpy's multivariate_hypergeometric over the two
+    populations consumes the same generator bits for the same variate.
+    """
+    n = config.n_photons
+    eve = config.eve
+    siphon1, siphon2 = (eve.siphon_stage1, eve.siphon_stage2) if eve.enabled else (0, 0)
+    if siphon1 > n or siphon2 > n:
+        raise ValueError("siphon count exceeds photons present at this stage")
+    if (siphon1 or siphon2) and n >= MAX_SAMPLED_PHOTONS:
+        raise ValueError(
+            f"sampled mode draws Eve's siphon from fewer than {MAX_SAMPLED_PHOTONS} photons, "
+            f"got n_photons={n}"
+        )
+    taken2 = siphon2
+    if siphon1 and siphon2:
+        taken2 = int(rng.hypergeometric(n - siphon1, siphon1, siphon2))
+    return _received_populations(
+        n, config.alice_angle_deg, config.bob_bit, siphon1, siphon2, eve.injection_angle_deg, taken2
+    )
+
+
+def _born_probabilities(
+    populations: Sequence[Tuple[int, float]], n: int
+) -> Tuple[float, float, float]:
+    """Born probabilities (p_h, p_d, p_r) of a mixture of linear
+    populations totalling n photons. The sums run in population order,
+    skipping empty ones, as ensemble_density and born_probabilities sum the
+    matrix entries, so the probabilities are the same floats."""
+    m00 = m01 = 0.0
+    for count, angle in populations:
+        if count:
+            a0, a1 = pure_state(angle)
+            weight = count / n
+            m00 += weight * (a0 * a0)
+            m01 += weight * (a0 * a1)
+    return clamp_probability(m00), clamp_probability(0.5 * (1.0 + 2.0 * m01)), 0.5
+
+
+def _run_sampled(
+    config: ProtocolConfig, rho_h0: DensityMatrix, rho_h90: DensityMatrix
+) -> ProtocolOutcome:
+    """Sampled mode on integer populations: Eve's random siphon, binomial
+    tomography of the received mixture, and Alice's checks in closed form on
+    the reconstructed Stokes vector."""
+    rng = np.random.default_rng(config.tomography.seed)
+    n = config.n_photons
+    probabilities = _born_probabilities(_sampled_populations(config, rng), n)
+    counts = sample_counts(probabilities, config.tomography.photons_per_basis, rng)
+    rho_received = reconstruct(counts)
+    s = stokes_from_density(rho_received)
+    _, s1, s2, s3 = s
+    theta = config.alice_angle_deg
+    h1, h3 = linear_stokes(theta)
+    g1, g3 = linear_stokes(normalize_angle(theta + 90.0))
+    purity_received = 0.5 * (1.0 + s1 * s1 + s2 * s2 + s3 * s3)
+    dist_h0 = math.sqrt((s1 - h1) ** 2 + s2 * s2 + (s3 - h3) ** 2) / math.sqrt(2.0)
+    dist_h90 = math.sqrt((s1 - g1) ** 2 + s2 * s2 + (s3 - g3) ** 2) / math.sqrt(2.0)
+    code = decision_codes(purity_received, dist_h0, dist_h90, *config.resolved_thresholds())
+    return ProtocolOutcome(
+        decision=DECISIONS[int(code)],
+        rho_hypothesis_0=rho_h0,
+        rho_hypothesis_90=rho_h90,
+        rho_received=rho_received,
+        purity_received=purity_received,
+        dist_to_h0=dist_h0,
+        dist_to_h90=dist_h90,
+        spectrum=stokes_spectrum(s),
+        # every siphoned photon is replaced, so the count never changes
+        stage_intensities=(n, n, n),
+    )
+
+
 def run_protocol(config: ProtocolConfig) -> ProtocolOutcome:
     """Execute one full transmission and Alice's final decision."""
     theta = config.alice_angle_deg
-    n = config.n_photons
     rho_h0 = density_of_pure(pure_state(theta))
     rho_h90 = density_of_pure(pure_state(theta + 90.0))
     if config.mode == "exact":
         return _run_exact(config, rho_h0, rho_h90)
-
-    rng = np.random.default_rng(config.tomography.seed)
-
-    stream: _Stream = [(n, theta, False)]
-    sent = n
-
-    if config.eve.enabled:
-        _eve_stage(stream, config.eve.siphon_stage1, config.eve.injection_angle_deg, rng)
-    after_stage1 = _stream_total(stream)
-
-    rotation = 90.0 * config.bob_bit
-    stream = [(c, normalize_angle(ang + rotation), is_eve) for c, ang, is_eve in stream]
-
-    if config.eve.enabled:
-        _eve_stage(stream, config.eve.siphon_stage2, config.eve.injection_angle_deg, rng)
-    after_stage2 = _stream_total(stream)
-
-    true_density = ensemble_density(_stream_ensemble(stream))
-    counts = sample_counts(true_density, config.tomography.photons_per_basis, rng)
-    rho_received = reconstruct(counts)
-
-    intensities = (sent, after_stage1, after_stage2)
-    if not intensity_check(intensities):
-        decision = Decision.EVE_DETECTED
-    else:
-        decision = decide(rho_received, rho_h0, rho_h90, *config.resolved_thresholds())
-
-    return ProtocolOutcome(
-        decision=decision,
-        rho_hypothesis_0=rho_h0,
-        rho_hypothesis_90=rho_h90,
-        rho_received=rho_received,
-        purity_received=purity(rho_received),
-        dist_to_h0=matrix_distance(rho_received, rho_h0),
-        dist_to_h90=matrix_distance(rho_received, rho_h90),
-        spectrum=eigendecompose(rho_received),
-        stage_intensities=intensities,
-    )
+    return _run_sampled(config, rho_h0, rho_h90)

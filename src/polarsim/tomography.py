@@ -1,13 +1,17 @@
 """Simulated projective polarization tomography.
 
-Measures a density matrix in the H/V, D/A and R/L bases via seeded Bernoulli
-sampling, estimates Stokes parameters from the counts, and reconstructs a
-guaranteed-physical density matrix (linear inversion plus eigenvalue clipping
-and trace renormalization).
+Measures a density matrix in the H/V, D/A and R/L bases via seeded binomial
+sampling, estimates Stokes parameters from the counts (James, Kwiat, Munro &
+White, PRA 64, 052312, 2001), and reconstructs a guaranteed-physical density
+matrix. For a qubit, clipping the negative eigenvalue of the linear inversion
+and renormalizing the trace is the projection r -> r/|r| of the Stokes
+vector onto the Poincare sphere (Smolin, Gambetta & Smith, PRL 108, 070502,
+2012), so reconstruction is closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -18,6 +22,7 @@ from .polarization import (
     DensityMatrix,
     StokesVector,
     stokes_from_density,
+    stokes_matrix,
 )
 
 # identifier recorded in run metadata so outputs are reproducible across hosts
@@ -59,27 +64,30 @@ class MeasurementCounts:
         return f"{self.n_h},{self.n_v},{self.n_d},{self.n_a},{self.n_r},{self.n_l}"
 
 
+def clamp_probability(p: float) -> float:
+    """p clipped to [0, 1], absorbing the rounding residue of a Born rule."""
+    return min(1.0, max(0.0, p))
+
+
 def born_probabilities(rho: DensityMatrix) -> Tuple[float, float, float, float, float, float]:
     """Projection probabilities (p_h, p_v, p_d, p_a, p_r, p_l)."""
     s = stokes_from_density(rho)
-    p_h = float(rho.matrix[0, 0].real)
-    p_d = 0.5 * (1.0 + s.s1)
-    p_r = 0.5 * (1.0 + s.s2)
-
-    def clamp(p: float) -> float:
-        return min(1.0, max(0.0, p))
-
-    p_h, p_d, p_r = clamp(p_h), clamp(p_d), clamp(p_r)
+    p_h = clamp_probability(float(rho.matrix[0, 0].real))
+    p_d = clamp_probability(0.5 * (1.0 + s.s1))
+    p_r = clamp_probability(0.5 * (1.0 + s.s2))
     return p_h, 1.0 - p_h, p_d, 1.0 - p_d, p_r, 1.0 - p_r
 
 
-def sample_counts(rho: DensityMatrix, photons_per_basis: int, rng: np.random.Generator) -> MeasurementCounts:
-    """Draw per-basis binomial counts from an explicit generator.
+def sample_counts(
+    probabilities: Tuple[float, float, float], photons_per_basis: int, rng: np.random.Generator
+) -> MeasurementCounts:
+    """Draw per-basis binomial counts for the Born probabilities
+    (p_h, p_d, p_r) from an explicit generator.
 
     Basis order is fixed (H/V, D/A, R/L) so a given generator state always
     yields the same counts.
     """
-    p_h, _, p_d, _, p_r, _ = born_probabilities(rho)
+    p_h, p_d, p_r = probabilities
     n = photons_per_basis
     n_h = int(rng.binomial(n, p_h))
     n_d = int(rng.binomial(n, p_d))
@@ -89,8 +97,9 @@ def sample_counts(rho: DensityMatrix, photons_per_basis: int, rng: np.random.Gen
 
 def simulate_counts(rho: DensityMatrix, config: TomographyConfig) -> MeasurementCounts:
     """Seeded measurement simulation; same (rho, config) gives identical counts."""
+    p_h, _, p_d, _, p_r, _ = born_probabilities(rho)
     rng = np.random.default_rng(config.seed)
-    return sample_counts(rho, config.photons_per_basis, rng)
+    return sample_counts((p_h, p_d, p_r), config.photons_per_basis, rng)
 
 
 def stokes_estimate(counts: MeasurementCounts) -> StokesVector:
@@ -110,20 +119,15 @@ def stokes_estimate(counts: MeasurementCounts) -> StokesVector:
 def reconstruct_from_stokes(s: StokesVector) -> DensityMatrix:
     """Physical density matrix from a (possibly non-physical) Stokes estimate.
 
-    Linear inversion first; if the raw matrix has a negative eigenvalue the
-    eigenvalues are clipped at zero and the trace renormalized to 1.
+    The linear inversion has eigenvalues (1 +- |r|)/2. It is kept while the
+    smaller one is at least -PSD_TOL, i.e. |r| <= 1 + 2 PSD_TOL; beyond that,
+    clipping it to zero and renormalizing the trace leaves the pure state
+    r/|r|.
     """
-    raw = 0.5 * np.array(
-        [[s.s0 + s.s3, s.s1 - 1j * s.s2], [s.s1 + 1j * s.s2, s.s0 - s.s3]],
-        dtype=complex,
-    )
-    eigvals, eigvecs = np.linalg.eigh(raw)
-    if eigvals.min() >= -PSD_TOL:
-        return DensityMatrix(raw)
-    clipped = np.clip(eigvals, 0.0, None)
-    clipped /= clipped.sum()
-    projected = (eigvecs * clipped) @ eigvecs.conj().T
-    return DensityMatrix(projected)
+    norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
+    if norm > 1.0 + 2.0 * PSD_TOL:
+        s = StokesVector(1.0, s.s1 / norm, s.s2 / norm, s.s3 / norm)
+    return DensityMatrix(stokes_matrix(s))
 
 
 def reconstruct(counts: MeasurementCounts) -> DensityMatrix:

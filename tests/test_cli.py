@@ -183,6 +183,16 @@ class TestSweepCommand:
         assert "exact-only" in err
         assert not (tmp_path / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("preset", ["delta-family", "fig12", "fig13"])
+    @pytest.mark.parametrize("flag", [["--seed", "0"], ["--bit", "1"], ["--photons", "100"]])
+    def test_delta_family_refuses_unused_flags(self, capsys, tmp_path, preset, flag):
+        # the grid is fixed: none of these reaches its CSV, so any explicit
+        # value, the default included, is a usage error
+        code, _, err = run_cli(capsys, "sweep", "--preset", preset, *flag, "--out", str(tmp_path))
+        assert code == 2
+        assert f"takes no {flag[0]}" in err
+        assert not (tmp_path / "manifest.txt").exists()
+
     def test_reproducible_output(self, capsys, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         run_cli(capsys, "sweep", "--preset", "fig4", "--mode", "exact", "--out", str(d1))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarsim as ps
-from polarsim.polarization import DensityMatrix
+from polarsim.polarization import DensityMatrix, render_matrix, stokes_spectrum
 
 SQRT3 = math.sqrt(3.0)
 
@@ -223,6 +223,23 @@ class TestEigendecompose:
         spec = ps.eigendecompose(DensityMatrix(np.diag(diagonal)))
         assert spec.principal_angle_deg == angle
 
+    @pytest.mark.parametrize("s3, angle", [(0.4, 0.0), (-0.4, 90.0), (-1.0, 90.0)])
+    def test_stokes_spectrum_diagonal_axis(self, s3, angle):
+        s = ps.StokesVector(1.0, 0.0, 0.0, s3)
+        spec = stokes_spectrum(s)
+        ref = ps.eigendecompose(ps.density_from_stokes(s))
+        assert spec.principal_angle_deg == angle == ref.principal_angle_deg
+        assert spec.lambda_min == pytest.approx(0.5 * (1.0 - abs(s3)), abs=1e-15)
+
+    def test_stokes_spectrum_matches_eigendecompose(self):
+        rng = np.random.default_rng(17)
+        for _ in range(1000):
+            m = random_physical_density(rng)
+            spec, ref = stokes_spectrum(ps.stokes_from_density(m)), ps.eigendecompose(m)
+            assert spec.lambda_max == pytest.approx(ref.lambda_max, abs=1e-12)
+            assert spec.principal_angle_deg == pytest.approx(ref.principal_angle_deg, abs=1e-9)
+        assert stokes_spectrum(ps.StokesVector(1.0, 0.0, 0.0, 0.0)).principal_angle_deg is None
+
     def test_degenerate_angles_undefined(self):
         spec = ps.eigendecompose(DensityMatrix(np.eye(2) / 2))
         assert spec.lambda_max == pytest.approx(0.5)
@@ -257,6 +274,18 @@ class TestEigendecompose:
                     1 + math.sqrt(1 - 4 * f * (1 - f) * math.sin(math.radians(delta)) ** 2)
                 )
                 assert spec.lambda_max == pytest.approx(expected, abs=1e-10)
+
+
+class TestRenderMatrix:
+    def test_rounding_residue_prints_as_zero(self):
+        m = DensityMatrix(np.array([[1.0, -1e-9], [-1e-9, 1e-18]]))
+        assert render_matrix(m) == "[[1.000000, 0.000000], [0.000000, 0.000000]]"
+
+    def test_complex_entries(self):
+        m = ps.density_from_stokes(ps.StokesVector(1.0, -1e-9, 0.5, 0.0))
+        assert render_matrix(m) == (
+            "[[0.500000, 0.000000-0.250000j], [0.000000+0.250000j, 0.500000]]"
+        )
 
 
 class TestMatrixDistance:

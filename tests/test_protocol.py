@@ -200,3 +200,14 @@ class TestOutcomeSerialization:
         assert row[0] == "Bit0"
         assert row[4] == "1.000000"
         assert row[6:] == ["100", "100", "100"]
+
+    def test_pure_state_never_renders_negative_zero(self):
+        # Eve injecting Bob's own output state leaves the received state pure;
+        # here lambda_min carries a -1.1e-16 rounding residue
+        eve = ps.EveConfig(0, 403, 108.5, enabled=True)
+        out = ps.run_protocol(config(theta=18.5, bit=1, n=888, eve=eve))
+        assert out.decision is ps.Decision.BIT1
+        assert out.spectrum.lambda_min < 0.0
+        block = out.to_key_value_block()
+        assert "lambda_min=0.000000" in block.splitlines()
+        assert "-0.000000" not in block + out.to_csv_row()

@@ -1,0 +1,265 @@
+"""Sampled mode on integer populations against the photon-stream path it
+replaced.
+
+The reference keeps a list of (count, angle) populations, draws each of
+Eve's siphons with multivariate_hypergeometric over everything in the beam,
+builds the received matrix with ensemble_density, draws counts from
+born_probabilities, and reconstructs with np.linalg.eigh, clipping the
+negative eigenvalue and renormalizing the trace. Counts must be identical,
+rho_received within TOL, reported values within TOL, and decisions equal
+wherever no value is within MARGIN of a decision threshold.
+
+The golden digests cover rendered CLI output: 200 sampled `polarsim protocol`
+blocks and 200 `polarsim tomography --mix` outputs, recorded from the stream
+path, where a value that rounded to zero could print as -0.000000; that was
+recorded as 0.000000.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polarsim as ps
+from polarsim import protocol
+from polarsim.cli import main
+from polarsim.polarization import PSD_TOL
+from polarsim.protocol import MAX_SAMPLED_PHOTONS
+from polarsim.tomography import sample_counts
+
+TOL = 1e-12
+MARGIN = 1e-9
+# principal angles are compared where the coherence |rho_01| is at least
+# this; below it the reference's eigenvector loses digits to cancellation
+MIN_COHERENCE = 1e-6
+
+PROTOCOL_SHA256 = "25e9f31dc73629f0d59353b0a4419229d58c486b85921353616ebc1681e00b42"
+TOMOGRAPHY_SHA256 = "3685d706da7ceb321f619f2c305519f405ca072d1b20873b0394b6b0f95426de"
+
+
+def reference_reconstruct(counts):
+    s = ps.stokes_estimate(counts)
+    raw = 0.5 * np.array([[1.0 + s.s3, s.s1 - 1j * s.s2], [s.s1 + 1j * s.s2, 1.0 - s.s3]])
+    eigvals, eigvecs = np.linalg.eigh(raw)
+    if eigvals.min() >= -PSD_TOL:
+        return raw
+    clipped = np.clip(eigvals, 0.0, None)
+    clipped /= clipped.sum()
+    return (eigvecs * clipped) @ eigvecs.conj().T
+
+
+def reference(config):
+    """(counts, rho_received) of a sampled run along the photon-stream path."""
+    rng = np.random.default_rng(config.tomography.seed)
+    eve = config.eve
+    stream = [(config.n_photons, config.alice_angle_deg)]
+
+    def eve_stage(stream, siphon):
+        if not eve.enabled or siphon == 0:
+            return stream
+        counts = [c for c, _ in stream]
+        if siphon > sum(counts):
+            raise ValueError("siphon count exceeds photons present at this stage")
+        taken = rng.multivariate_hypergeometric(counts, siphon)
+        kept = [(c - int(t), a) for (c, a), t in zip(stream, taken)]
+        return kept + [(siphon, eve.injection_angle_deg)]
+
+    stream = eve_stage(stream, eve.siphon_stage1)
+    stream = [(c, ps.normalize_angle(a + 90.0 * config.bob_bit)) for c, a in stream]
+    stream = eve_stage(stream, eve.siphon_stage2)
+    rho_true = ps.ensemble_density(ps.ensemble([(c, a) for c, a in stream if c > 0]))
+    p_h, _, p_d, _, p_r, _ = ps.born_probabilities(rho_true)
+    n = config.tomography.photons_per_basis
+    n_h, n_d, n_r = (int(rng.binomial(n, p)) for p in (p_h, p_d, p_r))
+    counts = ps.MeasurementCounts(n_h, n - n_h, n_d, n - n_d, n_r, n - n_r)
+    return counts, ps.DensityMatrix(reference_reconstruct(counts))
+
+
+def run_with_counts(config):
+    drawn = []
+
+    def spy(*args):
+        drawn.append(sample_counts(*args))
+        return drawn[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "sample_counts", spy)
+        outcome = ps.run_protocol(config)
+    return drawn[0], outcome
+
+
+def angle_gap(a, b):
+    d = abs(a - b) % 180.0
+    return min(d, 180.0 - d)
+
+
+@st.composite
+def sampled_configs(draw):
+    n = draw(st.one_of(st.integers(1, 20), st.integers(1, 100_000)))
+    eve = ps.EveConfig.disabled()
+    if draw(st.booleans()):
+        eve = ps.EveConfig(
+            siphon_stage1=draw(st.integers(0, n)),
+            siphon_stage2=draw(st.integers(0, n)),
+            injection_angle_deg=draw(st.floats(0.0, 180.0, exclude_max=True)),
+            enabled=True,
+        )
+    return ps.ProtocolConfig(
+        n_photons=n,
+        alice_angle_deg=draw(st.floats(0.0, 180.0, exclude_max=True)),
+        bob_bit=draw(st.integers(0, 1)),
+        eve=eve,
+        mode="sampled",
+        tomography=ps.TomographyConfig(
+            photons_per_basis=draw(st.sampled_from((1, 2, 10, 1_000, 100_000))),
+            seed=draw(st.integers(0, 2**32 - 1)),
+        ),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(sampled_configs())
+def test_sampled_run_matches_the_stream_path(config):
+    counts, outcome = run_with_counts(config)
+    ref_counts, ref_rho = reference(config)
+    assert counts == ref_counts
+    assert np.abs(outcome.rho_received.matrix - ref_rho.matrix).max() <= TOL
+
+    theta = config.alice_angle_deg
+    purity = ps.purity(ref_rho)
+    d0 = ps.matrix_distance(ref_rho, ps.density_of_pure(ps.pure_state(theta)))
+    d90 = ps.matrix_distance(ref_rho, ps.density_of_pure(ps.pure_state(theta + 90.0)))
+    assert outcome.purity_received == pytest.approx(purity, abs=TOL)
+    assert outcome.dist_to_h0 == pytest.approx(d0, abs=TOL)
+    assert outcome.dist_to_h90 == pytest.approx(d90, abs=TOL)
+    assert outcome.stage_intensities == (config.n_photons,) * 3
+
+    spectrum = ps.eigendecompose(ref_rho)
+    assert outcome.spectrum.lambda_max == pytest.approx(spectrum.lambda_max, abs=TOL)
+    assert outcome.spectrum.lambda_min == pytest.approx(spectrum.lambda_min, abs=TOL)
+    assert (outcome.spectrum.principal_angle_deg is None) == (spectrum.principal_angle_deg is None)
+    if spectrum.principal_angle_deg is not None:
+        coherence = abs(ref_rho.matrix[0, 1])
+        if coherence == 0.0:
+            assert outcome.spectrum.principal_angle_deg == spectrum.principal_angle_deg
+        elif coherence >= MIN_COHERENCE:
+            assert angle_gap(outcome.spectrum.principal_angle_deg,
+                             spectrum.principal_angle_deg) <= 1e-9
+
+    eps_d, eps_p = config.resolved_thresholds()
+    near = [abs(purity - (1.0 - eps_p)), abs(d0 - eps_d), abs(d90 - eps_d), abs(d0 - d90)]
+    if min(near) >= MARGIN:
+        h0 = ps.density_of_pure(ps.pure_state(theta))
+        h90 = ps.density_of_pure(ps.pure_state(theta + 90.0))
+        assert outcome.decision is ps.decide(ref_rho, h0, h90, eps_d, eps_p)
+
+
+@pytest.mark.parametrize("counts, pure", [
+    (ps.MeasurementCounts(1, 0, 1, 0, 1, 0), True),
+    (ps.MeasurementCounts(100, 0, 100, 0, 50, 50), True),
+    (ps.MeasurementCounts(9, 1, 8, 2, 7, 3), True),
+    (ps.MeasurementCounts(10**9, 0, 0, 10**9, 10**9, 0), True),
+    (ps.MeasurementCounts(9, 1, 5, 5, 5, 5), False),
+    (ps.MeasurementCounts(10, 10, 10, 10, 10, 10), False),
+])
+def test_reconstruction_matches_the_eigh_path(counts, pure):
+    # an estimate with |r| > 1 comes back as the pure state r/|r|, as
+    # clipping the eigh spectrum gives; any other is kept as it is
+    rho = ps.reconstruct(counts)
+    assert np.abs(rho.matrix - reference_reconstruct(counts)).max() <= TOL
+    assert (ps.purity(rho) == pytest.approx(1.0, abs=TOL)) is pure
+
+
+def protocol_argvs():
+    rng = random.Random("sampled-protocol-golden")
+    argvs = []
+    for _ in range(200):
+        n = round(10 ** rng.uniform(1.0, 5.0))
+        theta = 0.5 * rng.randrange(360)
+        bit = rng.randrange(2)
+        s1 = s2 = 0
+        phi = 0.0
+        if rng.random() < 0.7:
+            phi = theta + 90.0 * bit if rng.random() < 0.2 else 0.5 * rng.randrange(360)
+            s1 = rng.randint(0, n // 2)
+            s2 = rng.randint(0, n // 2)
+        argvs.append([
+            "protocol", "--theta", str(theta), "--bit", str(bit), "--photons", str(n),
+            "--eve-siphon1", str(s1), "--eve-siphon2", str(s2), "--eve-angle", str(phi),
+            "--mode", "sampled", "--seed", str(rng.getrandbits(32)),
+            "--photons-per-basis", str(rng.choice((10, 1_000, 100_000))),
+        ])
+    return argvs
+
+
+def tomography_argvs():
+    rng = random.Random("tomography-mix-golden")
+    argvs = []
+    for _ in range(200):
+        mix = ",".join(f"{rng.randint(1, 1000)}@{0.5 * rng.randrange(360)}"
+                       for _ in range(rng.randint(1, 3)))
+        argvs.append([
+            "tomography", "--mix", mix, "--seed", str(rng.getrandbits(32)),
+            "--photons-per-basis", str(rng.choice((10, 100, 1_000, 100_000))),
+        ])
+    return argvs
+
+
+@pytest.mark.parametrize("argvs, digest", [
+    (protocol_argvs, PROTOCOL_SHA256),
+    (tomography_argvs, TOMOGRAPHY_SHA256),
+])
+def test_cli_output_golden(argvs, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for argv in argvs():
+            assert main(argv) == 0, argv
+    text = out.getvalue()
+    assert "-0.000000" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def sampled(n, s1=0, s2=0):
+    return ps.ProtocolConfig(
+        n_photons=n, alice_angle_deg=30.0, bob_bit=0, mode="sampled",
+        eve=ps.EveConfig(s1, s2, 45.0, enabled=True),
+        tomography=ps.TomographyConfig(photons_per_basis=100, seed=1),
+    )
+
+
+@pytest.mark.parametrize("s1, s2", [(1, 0), (0, 1), (10, 10)])
+def test_huge_beam_with_eve_is_refused(s1, s2):
+    with pytest.raises(ValueError, match="fewer than 1000000000 photons"):
+        ps.run_protocol(sampled(MAX_SAMPLED_PHOTONS, s1, s2))
+
+
+def test_huge_beam_limits():
+    # no siphon draws nothing; just below the limit numpy can still draw
+    assert ps.run_protocol(sampled(10 * MAX_SAMPLED_PHOTONS)).decision is ps.Decision.BIT0
+    outcome = ps.run_protocol(sampled(MAX_SAMPLED_PHOTONS - 1, 10, 10))
+    assert outcome.stage_intensities == (MAX_SAMPLED_PHOTONS - 1,) * 3
+
+
+def test_siphon_beyond_the_beam_is_refused():
+    with pytest.raises(ValueError, match="exceeds photons present"):
+        ps.run_protocol(sampled(100, 0, 101))
+    # a stage-2 siphon may take back Eve's stage-1 photons
+    assert ps.run_protocol(sampled(100, 60, 60)).stage_intensities == (100, 100, 100)
+
+
+def test_born_probabilities_repeat_the_matrix_path():
+    rng = random.Random(4)
+    for _ in range(2_000):
+        n = rng.randint(1, 10**6)
+        a = rng.randint(0, n)
+        b = rng.randint(0, n - a)
+        populations = [(a, 0.5 * rng.randrange(360)), (b, rng.uniform(0, 180)),
+                       (n - a - b, rng.uniform(0, 180))]
+        rho = ps.ensemble_density(ps.ensemble([p for p in populations if p[0]]))
+        p_h, _, p_d, _, p_r, _ = ps.born_probabilities(rho)
+        assert protocol._born_probabilities(populations, n) == (p_h, p_d, p_r)
