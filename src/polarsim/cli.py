@@ -90,9 +90,24 @@ def _parse_totals(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad totals list {text!r}") from None
 
 
-# sweep flags that the delta-family presets do not use; they default to None
-# so that an explicit value can be refused there
-SWEEP_DEFAULTS = {"bit": 0, "photons": 100, "seed": 0}
+# defaults of the flags that some path ignores: they parse to None, so that
+# an explicit value can be refused there, and are filled in after that check
+DEFAULTS = {"bit": 0, "photons": 100, "seed": 0, "photons_per_basis": 100_000}
+
+
+def _refuse(args: argparse.Namespace, path: str, flags: Sequence[str]) -> bool:
+    """Report on stderr which of `flags` were given to a path that ignores
+    them; True if any was."""
+    given = ["--" + name.replace("_", "-") for name in flags if getattr(args, name) is not None]
+    if given:
+        print(f"{path} takes no {', '.join(given)}", file=sys.stderr)
+    return bool(given)
+
+
+def _fill_defaults(args: argparse.Namespace) -> None:
+    for name, default in DEFAULTS.items():
+        if getattr(args, name, default) is None:
+            setattr(args, name, default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,10 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eve-siphon2", type=int, default=0, help="photons Eve siphons in stage 2")
     p.add_argument("--eve-angle", type=float, default=0.0, help="Eve's injection angle (deg)")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (sampled mode)")
+    p.add_argument("--seed", type=int, help="RNG seed, sampled mode (default 0)")
     p.add_argument(
-        "--photons-per-basis", type=int, default=100_000,
-        help="tomography sample size per basis (sampled mode)",
+        "--photons-per-basis", type=int,
+        help="tomography sample size per basis, sampled mode (default 100000)",
     )
     p.add_argument("--out", type=Path, default=None, help="write a CSV row and manifest here")
 
@@ -131,16 +146,31 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", type=Path, required=True, help="output directory")
 
     t = sub.add_parser("tomography", help="simulate tomography of a known ensemble")
-    t.add_argument("--theta", type=float, help="single pure-state angle (deg)")
-    t.add_argument("--mix", type=_parse_mix, help="mixture as COUNT@ANGLE,COUNT@ANGLE,...")
-    t.add_argument("--photons-per-basis", type=int, default=100_000)
-    t.add_argument("--seed", type=int, default=0)
+    state = t.add_mutually_exclusive_group()
+    state.add_argument("--theta", type=float, help="single pure-state angle (deg)")
+    state.add_argument("--mix", type=_parse_mix, help="mixture as COUNT@ANGLE,COUNT@ANGLE,...")
+    t.add_argument("--photons-per-basis", type=int, default=DEFAULTS["photons_per_basis"])
+    t.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     t.add_argument("--out", type=Path, default=None, help="write counts CSV and manifest here")
     return parser
 
 
+def _write_out(
+    args: argparse.Namespace, header: str, row: str, params: Dict[str, object], started: float
+) -> None:
+    """Write a one-row CSV to --out and its manifest beside it."""
+    args.out.write_text(header + "\n" + row + "\n")
+    manifest = args.out.with_suffix(args.out.suffix + ".manifest")
+    _write_manifest(manifest, args.subcommand, params, args.seed, [args.out], started)
+
+
 def cmd_protocol(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.mode == "exact" and _refuse(
+        args, "protocol --mode exact", ("seed", "photons_per_basis")
+    ):
+        return 2
+    _fill_defaults(args)
     eve_active = args.eve_siphon1 > 0 or args.eve_siphon2 > 0
     config = ProtocolConfig(
         n_photons=args.photons,
@@ -158,12 +188,10 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     outcome = run_protocol(config)
     print(outcome.to_key_value_block())
     if args.out is not None:
-        out = Path(args.out)
-        out.write_text(PROTOCOL_CSV_HEADER + "\n" + outcome.to_csv_row() + "\n")
-        manifest = out.with_suffix(out.suffix + ".manifest")
-        _write_manifest(
-            manifest,
-            "protocol",
+        _write_out(
+            args,
+            PROTOCOL_CSV_HEADER,
+            outcome.to_csv_row(),
             {
                 "theta_deg": args.theta,
                 "bit": args.bit,
@@ -174,8 +202,6 @@ def cmd_protocol(args: argparse.Namespace) -> int:
                 "mode": args.mode,
                 "photons_per_basis": args.photons_per_basis,
             },
-            args.seed,
-            [out],
             started,
         )
     return 0
@@ -198,73 +224,51 @@ def _write_sweep_meta(path: Path, spec: SweepSpec) -> None:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.preset in DELTA_FAMILY_PRESETS:
-        if args.mode != "exact":
-            print(f"sweep --preset {args.preset} is exact-only; drop --mode {args.mode}",
-                  file=sys.stderr)
+    delta_family = args.preset in DELTA_FAMILY_PRESETS
+    if delta_family and args.mode != "exact":
+        print(f"sweep --preset {args.preset} is exact-only; drop --mode {args.mode}",
+              file=sys.stderr)
+        return 2
+    if args.preset is not None:
+        # a preset fixes the angles and totals; the delta-family grid fixes
+        # everything else as well
+        unused = ("theta", "phi", "totals") + (("bit", "photons", "seed") if delta_family else ())
+        if _refuse(args, f"sweep --preset {args.preset}", unused):
             return 2
-        unused = [f"--{name}" for name in SWEEP_DEFAULTS if getattr(args, name) is not None]
-        if unused:
-            print(f"sweep --preset {args.preset} takes no {', '.join(unused)}", file=sys.stderr)
-            return 2
-    for name, default in SWEEP_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
+    elif args.theta is None or args.phi is None or args.totals is None:
+        print("sweep requires --preset or all of --theta/--phi/--totals", file=sys.stderr)
+        return 2
+    if args.mode == "exact" and _refuse(args, "sweep --mode exact", ("seed",)):
+        return 2
+    _fill_defaults(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: List[Path] = []
     params: Dict[str, object] = {"mode": args.mode}
 
-    if args.preset is not None:
+    if delta_family:
         params["preset"] = args.preset
-        if args.preset in DELTA_FAMILY_PRESETS:
-            table = sweep_delta_family()
-            csv_path = out_dir / "delta_family.csv"
-            write_delta_family_csv(table, csv_path)
-            outputs.append(csv_path)
-            print(f"sweep delta-family: {len(table)} points -> {csv_path}")
+        table = sweep_delta_family()
+        csv_path = out_dir / "delta_family.csv"
+        write_delta_family_csv(table, csv_path)
+        outputs = [csv_path]
+        print(f"sweep delta-family: {len(table)} points -> {csv_path}")
+    else:
+        if args.preset is None:
+            name, theta, phi, totals = "custom", args.theta, args.phi, args.totals
+            params.update({"theta_deg": args.theta, "phi_deg": args.phi})
         else:
             base = PRESETS[args.preset]
-            spec = SweepSpec(
-                theta_deg=base.theta_deg,
-                phi_deg=base.phi_deg,
-                bob_bit=args.bit,
-                n_photons=args.photons,
-                siphon_totals=base.siphon_totals,
-                mode=args.mode,
-                seed=args.seed,
-            )
-            records = sweep_siphon(spec)
-            csv_path = out_dir / f"{args.preset}.csv"
-            meta_path = out_dir / f"{args.preset}.meta.txt"
-            write_csv(records, csv_path)
-            _write_sweep_meta(meta_path, spec)
-            outputs.extend([csv_path, meta_path])
-            print(
-                f"sweep {args.preset}: theta={spec.theta_deg} phi={spec.phi_deg} "
-                f"{len(records)} points -> {csv_path}"
-            )
-    else:
-        if args.theta is None or args.phi is None or args.totals is None:
-            print("sweep requires --preset or all of --theta/--phi/--totals", file=sys.stderr)
-            return 2
-        spec = SweepSpec(
-            theta_deg=args.theta,
-            phi_deg=args.phi,
-            bob_bit=args.bit,
-            n_photons=args.photons,
-            siphon_totals=args.totals,
-            mode=args.mode,
-            seed=args.seed,
-        )
-        params.update({"theta_deg": args.theta, "phi_deg": args.phi})
+            name, theta, phi, totals = args.preset, base.theta_deg, base.phi_deg, base.siphon_totals
+            params["preset"] = args.preset
+        spec = SweepSpec(theta, phi, args.bit, args.photons, totals, args.mode, args.seed)
         records = sweep_siphon(spec)
-        csv_path = out_dir / "custom.csv"
-        meta_path = out_dir / "custom.meta.txt"
+        csv_path = out_dir / f"{name}.csv"
+        meta_path = out_dir / f"{name}.meta.txt"
         write_csv(records, csv_path)
         _write_sweep_meta(meta_path, spec)
-        outputs.extend([csv_path, meta_path])
-        print(f"sweep custom: theta={spec.theta_deg} phi={spec.phi_deg} -> {csv_path}")
+        outputs = [csv_path, meta_path]
+        points = "" if args.preset is None else f" {len(records)} points"
+        print(f"sweep {name}: theta={spec.theta_deg} phi={spec.phi_deg}{points} -> {csv_path}")
 
     manifest = out_dir / "manifest.txt"
     _write_manifest(manifest, "sweep", params, args.seed, outputs, started)
@@ -298,12 +302,10 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     print("principal_angle_deg=" + ("" if angle is None else f"{angle:.6f}"))
 
     if args.out is not None:
-        out = Path(args.out)
-        out.write_text(COUNTS_CSV_HEADER + "\n" + counts.to_csv_row() + "\n")
-        manifest = out.with_suffix(out.suffix + ".manifest")
-        _write_manifest(
-            manifest,
-            "tomography",
+        _write_out(
+            args,
+            COUNTS_CSV_HEADER,
+            counts.to_csv_row(),
             {
                 "mix": "" if args.mix is None else ",".join(
                     f"{c}@{a}" for c, a in ens.components
@@ -311,8 +313,6 @@ def cmd_tomography(args: argparse.Namespace) -> int:
                 "theta_deg": "" if args.theta is None else args.theta,
                 "photons_per_basis": args.photons_per_basis,
             },
-            args.seed,
-            [out],
             started,
         )
     return 0

@@ -40,6 +40,7 @@ PROTOCOL_CSV_HEADER = (
     "decision,purity,dist_h0,dist_h90,lambda_max,principal_angle_deg,"
     "intensity_sent,intensity_after_stage1,intensity_after_stage2"
 )
+_CSV_COLUMNS = PROTOCOL_CSV_HEADER.split(",")
 
 
 class Decision(enum.Enum):
@@ -85,8 +86,6 @@ class ProtocolConfig:
     eve: EveConfig = field(default_factory=EveConfig.disabled)
     mode: str = "exact"
     tomography: TomographyConfig = field(default_factory=TomographyConfig)
-    epsilon_distance: Optional[float] = None  # None -> mode-dependent default
-    epsilon_purity: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_photons < 1:
@@ -95,34 +94,23 @@ class ProtocolConfig:
             raise ValueError("bob_bit must be 0 or 1")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.epsilon_distance is not None and self.epsilon_distance <= 0:
-            raise ValueError("epsilon_distance must be positive")
-        if self.epsilon_purity is not None and not (0 < self.epsilon_purity < 1):
-            raise ValueError("epsilon_purity must be in (0, 1)")
         object.__setattr__(self, "alice_angle_deg", normalize_angle(self.alice_angle_deg))
 
     def resolved_thresholds(self) -> Tuple[float, float]:
-        """(epsilon_distance, epsilon_purity) after mode-dependent defaulting.
+        """(epsilon_distance, epsilon_purity) for this mode.
 
         Sampled mode widens both to a 6-sigma-scale binomial noise floor.
         """
         if self.mode == "exact":
-            eps_d = EXACT_EPS_DISTANCE if self.epsilon_distance is None else self.epsilon_distance
-            eps_p = EXACT_EPS_PURITY if self.epsilon_purity is None else self.epsilon_purity
-        else:
-            noise = 6.0 / math.sqrt(self.tomography.photons_per_basis)
-            eps_d = (max(EXACT_EPS_DISTANCE, noise) if self.epsilon_distance is None
-                     else self.epsilon_distance)
-            eps_p = (max(EXACT_EPS_PURITY, noise) if self.epsilon_purity is None
-                     else self.epsilon_purity)
-        return eps_d, eps_p
+            return EXACT_EPS_DISTANCE, EXACT_EPS_PURITY
+        noise = 6.0 / math.sqrt(self.tomography.photons_per_basis)
+        return max(EXACT_EPS_DISTANCE, noise), max(EXACT_EPS_PURITY, noise)
 
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
     decision: Decision
-    rho_hypothesis_0: DensityMatrix
-    rho_hypothesis_90: DensityMatrix
+    alice_angle_deg: float
     rho_received: DensityMatrix
     purity_received: float
     dist_to_h0: float
@@ -130,9 +118,21 @@ class ProtocolOutcome:
     spectrum: Spectrum
     stage_intensities: Tuple[int, int, int]  # (sent, after stage 1, after stage 2)
 
-    def to_key_value_block(self) -> str:
+    @property
+    def rho_hypothesis_0(self) -> DensityMatrix:
+        """What Alice expects back for bit 0: her own state."""
+        return density_of_pure(pure_state(self.alice_angle_deg))
+
+    @property
+    def rho_hypothesis_90(self) -> DensityMatrix:
+        """What Alice expects back for bit 1: her state rotated by 90 deg."""
+        return density_of_pure(pure_state(self.alice_angle_deg + 90.0))
+
+    def _report_lines(self) -> List[str]:
+        """Every reported value as a key=value line; the one table both
+        renderings read."""
         angle = self.spectrum.principal_angle_deg
-        lines = [
+        return [
             f"decision={self.decision.value}",
             f"purity={format_decimal(self.purity_received)}",
             f"dist_h0={format_decimal(self.dist_to_h0)}",
@@ -144,23 +144,13 @@ class ProtocolOutcome:
             f"intensity_after_stage1={self.stage_intensities[1]}",
             f"intensity_after_stage2={self.stage_intensities[2]}",
         ]
-        return "\n".join(lines)
+
+    def to_key_value_block(self) -> str:
+        return "\n".join(self._report_lines())
 
     def to_csv_row(self) -> str:
-        angle = self.spectrum.principal_angle_deg
-        return ",".join(
-            [
-                self.decision.value,
-                format_decimal(self.purity_received),
-                format_decimal(self.dist_to_h0),
-                format_decimal(self.dist_to_h90),
-                format_decimal(self.spectrum.lambda_max),
-                "" if angle is None else format_decimal(angle),
-                str(self.stage_intensities[0]),
-                str(self.stage_intensities[1]),
-                str(self.stage_intensities[2]),
-            ]
-        )
+        fields = dict(line.split("=", 1) for line in self._report_lines())
+        return ",".join([fields[column] for column in _CSV_COLUMNS])
 
 
 def _check_siphon(siphon, available) -> None:
@@ -283,9 +273,7 @@ def intensity_check(stage_intensities: Tuple[int, ...]) -> bool:
     return all(count == first for count in stage_intensities)
 
 
-def _run_exact(
-    config: ProtocolConfig, rho_h0: DensityMatrix, rho_h90: DensityMatrix
-) -> ProtocolOutcome:
+def _run_exact(config: ProtocolConfig) -> ProtocolOutcome:
     """Exact mode as a batch of one through the Bloch-vector kernel; the
     received density matrix is the validated view of the explicit received
     populations, and Alice decides on it with the public rule."""
@@ -301,10 +289,15 @@ def _run_exact(
     rho_received = ensemble_density(PhotonEnsemble(tuple(p for p in populations if p[0] > 0)))
     angle = summary.principal_angle_deg
     angle = None if math.isnan(angle) else float(angle)
+    decision = decide(
+        rho_received,
+        density_of_pure(pure_state(theta)),
+        density_of_pure(pure_state(theta + 90.0)),
+        *config.resolved_thresholds(),
+    )
     return ProtocolOutcome(
-        decision=decide(rho_received, rho_h0, rho_h90, *config.resolved_thresholds()),
-        rho_hypothesis_0=rho_h0,
-        rho_hypothesis_90=rho_h90,
+        decision=decision,
+        alice_angle_deg=theta,
         rho_received=rho_received,
         purity_received=float(summary.purity),
         dist_to_h0=float(dist_h0),
@@ -366,9 +359,7 @@ def _born_probabilities(
     return clamp_probability(m00), clamp_probability(0.5 * (1.0 + 2.0 * m01)), 0.5
 
 
-def _run_sampled(
-    config: ProtocolConfig, rho_h0: DensityMatrix, rho_h90: DensityMatrix
-) -> ProtocolOutcome:
+def _run_sampled(config: ProtocolConfig) -> ProtocolOutcome:
     """Sampled mode on integer populations: Eve's random siphon, binomial
     tomography of the received mixture, and Alice's checks in closed form on
     the reconstructed Stokes vector."""
@@ -388,8 +379,7 @@ def _run_sampled(
     code = decision_codes(purity_received, dist_h0, dist_h90, *config.resolved_thresholds())
     return ProtocolOutcome(
         decision=DECISIONS[int(code)],
-        rho_hypothesis_0=rho_h0,
-        rho_hypothesis_90=rho_h90,
+        alice_angle_deg=theta,
         rho_received=rho_received,
         purity_received=purity_received,
         dist_to_h0=dist_h0,
@@ -402,9 +392,6 @@ def _run_sampled(
 
 def run_protocol(config: ProtocolConfig) -> ProtocolOutcome:
     """Execute one full transmission and Alice's final decision."""
-    theta = config.alice_angle_deg
-    rho_h0 = density_of_pure(pure_state(theta))
-    rho_h90 = density_of_pure(pure_state(theta + 90.0))
     if config.mode == "exact":
-        return _run_exact(config, rho_h0, rho_h90)
-    return _run_sampled(config, rho_h0, rho_h90)
+        return _run_exact(config)
+    return _run_sampled(config)

@@ -190,6 +190,14 @@ def _fmt_angle(angle: Optional[float]) -> str:
     return "" if angle is None else f"{angle:.6f}"
 
 
+def _write_lines(lines: List[str], path) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
+
+
 def write_csv(records: Iterable[SweepRecord], path) -> None:
     """Write a siphon-sweep CSV; byte-identical across runs for exact mode."""
     lines = [SWEEP_CSV_HEADER]
@@ -198,11 +206,7 @@ def write_csv(records: Iterable[SweepRecord], path) -> None:
             f"{r.siphon_total},{r.lambda_max:.6f},{_fmt_angle(r.peak_angle_deg)},"
             f"{r.purity:.6f},{'true' if r.detected else 'false'}"
         )
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
+    _write_lines(lines, path)
 
 
 def write_delta_family_csv(table: Dict[Tuple[float, float], SweepRecord], path) -> None:
@@ -212,11 +216,7 @@ def write_delta_family_csv(table: Dict[Tuple[float, float], SweepRecord], path) 
         lines.append(
             f"{delta:.6f},{fraction:.6f},{r.lambda_max:.6f},{_fmt_angle(r.peak_angle_deg)}"
         )
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
+    _write_lines(lines, path)
 
 
 # Figure presets: each pair of consecutive figures in the source data shares

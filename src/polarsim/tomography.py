@@ -35,13 +35,10 @@ COUNTS_CSV_HEADER = "n_h,n_v,n_d,n_a,n_r,n_l"
 class TomographyConfig:
     photons_per_basis: int = 100_000
     seed: int = 0
-    projection_mode: str = "clip-renormalize"
 
     def __post_init__(self) -> None:
         if self.photons_per_basis < 1:
             raise ValueError("photons_per_basis must be >= 1")
-        if self.projection_mode != "clip-renormalize":
-            raise ValueError(f"unknown projection mode {self.projection_mode!r}")
 
 
 @dataclass(frozen=True)

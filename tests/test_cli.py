@@ -118,6 +118,21 @@ class TestProtocolCommand:
         assert f"output={out_file}" in manifest
 
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "exact"]])
+    @pytest.mark.parametrize("flag", [["--seed", "0"], ["--photons-per-basis", "100000"]])
+    def test_exact_mode_refuses_sampled_flags(self, capsys, tmp_path, mode, flag):
+        # exact mode draws nothing and measures nothing, so neither flag
+        # reaches the result, whatever its value
+        code, out, err = run_cli(
+            capsys, "protocol", "--theta", "30", "--bit", "0", "--photons", "100", *mode, *flag,
+            "--out", str(tmp_path / "run.csv"),
+        )
+        assert code == 2
+        assert f"protocol --mode exact takes no {flag[0]}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepCommand:
     def test_fig4_preset(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "sweep", "--preset", "fig4", "--out", str(tmp_path))
@@ -184,7 +199,10 @@ class TestSweepCommand:
         assert not (tmp_path / "manifest.txt").exists()
 
     @pytest.mark.parametrize("preset", ["delta-family", "fig12", "fig13"])
-    @pytest.mark.parametrize("flag", [["--seed", "0"], ["--bit", "1"], ["--photons", "100"]])
+    @pytest.mark.parametrize("flag", [
+        ["--seed", "0"], ["--bit", "1"], ["--photons", "100"],
+        ["--theta", "10"], ["--phi", "80"], ["--totals", "0,2"],
+    ])
     def test_delta_family_refuses_unused_flags(self, capsys, tmp_path, preset, flag):
         # the grid is fixed: none of these reaches its CSV, so any explicit
         # value, the default included, is a usage error
@@ -192,6 +210,36 @@ class TestSweepCommand:
         assert code == 2
         assert f"takes no {flag[0]}" in err
         assert not (tmp_path / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("preset", sorted({preset for preset, _ in PRESET_CSV_SHA256}))
+    @pytest.mark.parametrize("flag", [["--theta", "10"], ["--phi", "80"], ["--totals", "0,2"]])
+    def test_preset_refuses_custom_flags(self, capsys, tmp_path, preset, flag):
+        # a preset fixes the angles and the totals
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "sweep", "--preset", preset, *flag, "--out", str(out_dir))
+        assert code == 2
+        assert f"sweep --preset {preset} takes no {flag[0]}" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "exact"]])
+    @pytest.mark.parametrize("path", [
+        ["--preset", "fig4"], ["--theta", "30", "--phi", "45", "--totals", "0,10"],
+    ])
+    def test_exact_mode_refuses_seed(self, capsys, tmp_path, mode, path):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "sweep", *path, *mode, "--seed", "0", "--out", str(out_dir))
+        assert code == 2
+        assert "sweep --mode exact takes no --seed" in err
+        assert not out_dir.exists()
+
+    def test_sampled_mode_takes_seed(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--preset", "fig4", "--mode", "sampled", "--seed", "3",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "seed=3" in (tmp_path / "fig4.meta.txt").read_text().splitlines()
+        assert "seed=3" in (tmp_path / "manifest.txt").read_text().splitlines()
 
     def test_reproducible_output(self, capsys, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -241,6 +289,17 @@ class TestTomographyCommand:
         code, _, err = run_cli(capsys, "tomography")
         assert code == 2
         assert "--theta or --mix" in err
+
+    def test_theta_with_mix_usage_error(self, capsys, tmp_path):
+        # the mixture is what gets measured; a --theta beside it would only
+        # reach the manifest
+        out_file = tmp_path / "counts.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["tomography", "--theta", "30", "--mix", "1@80", "--out", str(out_file)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--mix" in err and "--theta" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_counts_csv_output(self, capsys, tmp_path):
         out_file = tmp_path / "counts.csv"

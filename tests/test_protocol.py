@@ -185,6 +185,16 @@ class TestRunProtocolSampled:
         assert agree / runs >= 0.99
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("theta", [0.0, 30.0, 112.5, 179.5, 210.0])
+def test_hypotheses_are_alices_state_and_its_rotation(mode, theta):
+    out = ps.run_protocol(
+        config(theta=theta, bit=1, eve=ps.EveConfig(10, 10, 45, enabled=True), mode=mode, seed=2)
+    )
+    assert np.array_equal(out.rho_hypothesis_0.matrix, rho(theta).matrix)
+    assert np.array_equal(out.rho_hypothesis_90.matrix, rho(theta + 90.0).matrix)
+
+
 class TestOutcomeSerialization:
     def test_key_value_block(self):
         out = ps.run_protocol(config(eve=ps.EveConfig(10, 10, 45, enabled=True)))
