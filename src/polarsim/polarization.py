@@ -1,6 +1,6 @@
 """Linear-polarization qubit kernel: pure states, density operators, mixtures,
 rotations, Stokes coordinates, and closed-form 2x2 eigendecomposition, plus
-the elementwise Bloch-vector kernel that exact mode runs on.
+the elementwise Bloch-vector kernel that the exact-mode sweeps run on.
 
 Everything here is an exact, deterministic function of its inputs. Angles are
 degrees throughout, canonicalized to [0, 180) because a linear polarization at
@@ -291,12 +291,6 @@ def bloch_summary(s1, s3) -> BlochSummary:
     angle = np.degrees(np.arctan2(s1, s3)) / 2.0 % 180.0 % 180.0
     angle = np.where(norm < DEGENERACY_TOL, np.nan, angle)
     return BlochSummary(0.5 * (1.0 + r2), 0.5 * (1.0 + norm), 0.5 * (1.0 - norm), angle)
-
-
-def bloch_distance(a1, a3, b1, b3):
-    """Frobenius distance |r_a - r_b| / sqrt(2) between the density matrices
-    of linear Stokes components (a1, a3) and (b1, b3)."""
-    return np.hypot(a1 - b1, a3 - b3) / math.sqrt(2.0)
 
 
 def format_decimal(x: float) -> str:

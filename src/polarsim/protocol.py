@@ -21,7 +21,6 @@ from .polarization import (
     DensityMatrix,
     PhotonEnsemble,
     Spectrum,
-    bloch_distance,
     bloch_summary,
     density_of_pure,
     ensemble_density,
@@ -71,6 +70,8 @@ class EveConfig:
     def __post_init__(self) -> None:
         if self.siphon_stage1 < 0 or self.siphon_stage2 < 0:
             raise ValueError("siphon counts must be non-negative")
+        if not self.enabled and (self.siphon_stage1 or self.siphon_stage2):
+            raise ValueError("a disabled Eve siphons nothing; set enabled=True to siphon")
         object.__setattr__(self, "injection_angle_deg", normalize_angle(self.injection_angle_deg))
 
     @classmethod
@@ -210,14 +211,6 @@ def decision_codes(purity, dist_h0, dist_h90, eps_dist: float, eps_purity: float
     return np.where(eve, EVE_CODE, dist_h0 > dist_h90)
 
 
-def hypothesis_distances(s1, s3, theta_deg: float):
-    """Distances of the states (s1, s3) to Alice's two hypotheses for her
-    angle theta: her state and its 90 deg rotation."""
-    h1, h3 = linear_stokes(theta_deg)
-    g1, g3 = linear_stokes(normalize_angle(theta_deg + 90.0))
-    return bloch_distance(s1, s3, h1, h3), bloch_distance(s1, s3, g1, g3)
-
-
 class ExactAssessment(NamedTuple):
     """Alice's exact-mode checks, one list entry per received state; angles
     are None where the spectrum is degenerate."""
@@ -233,8 +226,14 @@ def exact_assessment(s1, s3, theta_deg: float) -> ExactAssessment:
     linear Stokes components (s1, s3) for her angle theta."""
     s1, s3 = np.ravel(s1), np.ravel(s3)
     summary = bloch_summary(s1, s3)
+    # Frobenius distances |r - r_h| / sqrt(2) to Alice's two hypotheses: her
+    # state and its 90 deg rotation
+    h1, h3 = linear_stokes(theta_deg)
+    g1, g3 = linear_stokes(normalize_angle(theta_deg + 90.0))
     codes = decision_codes(
-        summary.purity, *hypothesis_distances(s1, s3, theta_deg),
+        summary.purity,
+        np.hypot(s1 - h1, s3 - h3) / math.sqrt(2.0),
+        np.hypot(s1 - g1, s3 - g3) / math.sqrt(2.0),
         EXACT_EPS_DISTANCE, EXACT_EPS_PURITY,
     )
     return ExactAssessment(
@@ -273,44 +272,59 @@ def intensity_check(stage_intensities: Tuple[int, ...]) -> bool:
     return all(count == first for count in stage_intensities)
 
 
+def _outcome(
+    config: ProtocolConfig, rho_received: DensityMatrix, decision: Optional[Decision] = None
+) -> ProtocolOutcome:
+    """Alice's report, read off the Stokes vector r of the received matrix:
+    purity (1 + |r|^2)/2, the Frobenius distances |r - r_h|/sqrt(2) to her
+    two hypotheses and the closed-form spectrum. Without a given decision,
+    she decides on this read-out."""
+    s = stokes_from_density(rho_received)
+    _, s1, s2, s3 = s
+    theta = config.alice_angle_deg
+    h1, h3 = linear_stokes(theta)
+    g1, g3 = linear_stokes(normalize_angle(theta + 90.0))
+    purity_received = 0.5 * (1.0 + s1 * s1 + s2 * s2 + s3 * s3)
+    dist_h0 = math.sqrt((s1 - h1) ** 2 + s2 * s2 + (s3 - h3) ** 2) / math.sqrt(2.0)
+    dist_h90 = math.sqrt((s1 - g1) ** 2 + s2 * s2 + (s3 - g3) ** 2) / math.sqrt(2.0)
+    if decision is None:
+        code = decision_codes(purity_received, dist_h0, dist_h90, *config.resolved_thresholds())
+        decision = DECISIONS[int(code)]
+    n = config.n_photons
+    return ProtocolOutcome(
+        decision=decision,
+        alice_angle_deg=theta,
+        rho_received=rho_received,
+        purity_received=purity_received,
+        dist_to_h0=dist_h0,
+        dist_to_h90=dist_h90,
+        spectrum=stokes_spectrum(s),
+        # every siphoned photon is replaced, so the count never changes
+        stage_intensities=(n, n, n),
+    )
+
+
 def _run_exact(config: ProtocolConfig) -> ProtocolOutcome:
-    """Exact mode as a batch of one through the Bloch-vector kernel; the
-    received density matrix is the validated view of the explicit received
-    populations, and Alice decides on it with the public rule."""
+    """Exact mode: the received density matrix is the validated view of the
+    explicit received populations, and Alice decides on it with the public
+    rule."""
     eve = config.eve
-    siphons = (eve.siphon_stage1, eve.siphon_stage2) if eve.enabled else (0, 0)
     n = config.n_photons
     theta = config.alice_angle_deg
-    phi = eve.injection_angle_deg
-    s1, s3 = received_stokes(n, theta, config.bob_bit, *siphons, phi)
-    summary = bloch_summary(s1, s3)
-    dist_h0, dist_h90 = hypothesis_distances(s1, s3, theta)
-    populations = _received_populations(n, theta, config.bob_bit, *siphons, phi, siphons[1])
+    _check_siphon(eve.siphon_stage1, n)
+    _check_siphon(eve.siphon_stage2, n - eve.siphon_stage1)
+    populations = _received_populations(
+        n, theta, config.bob_bit, eve.siphon_stage1, eve.siphon_stage2,
+        eve.injection_angle_deg, eve.siphon_stage2,
+    )
     rho_received = ensemble_density(PhotonEnsemble(tuple(p for p in populations if p[0] > 0)))
-    angle = summary.principal_angle_deg
-    angle = None if math.isnan(angle) else float(angle)
     decision = decide(
         rho_received,
         density_of_pure(pure_state(theta)),
         density_of_pure(pure_state(theta + 90.0)),
         *config.resolved_thresholds(),
     )
-    return ProtocolOutcome(
-        decision=decision,
-        alice_angle_deg=theta,
-        rho_received=rho_received,
-        purity_received=float(summary.purity),
-        dist_to_h0=float(dist_h0),
-        dist_to_h90=float(dist_h90),
-        spectrum=Spectrum(
-            float(summary.lambda_max),
-            float(summary.lambda_min),
-            angle,
-            None if angle is None else normalize_angle(angle + 90.0),
-        ),
-        # every siphoned photon is replaced, so the count never changes
-        stage_intensities=(n, n, n),
-    )
+    return _outcome(config, rho_received, decision)
 
 
 def _sampled_populations(config: ProtocolConfig, rng: np.random.Generator):
@@ -326,7 +340,7 @@ def _sampled_populations(config: ProtocolConfig, rng: np.random.Generator):
     """
     n = config.n_photons
     eve = config.eve
-    siphon1, siphon2 = (eve.siphon_stage1, eve.siphon_stage2) if eve.enabled else (0, 0)
+    siphon1, siphon2 = eve.siphon_stage1, eve.siphon_stage2
     if siphon1 > n or siphon2 > n:
         raise ValueError("siphon count exceeds photons present at this stage")
     if (siphon1 or siphon2) and n >= MAX_SAMPLED_PHOTONS:
@@ -367,27 +381,7 @@ def _run_sampled(config: ProtocolConfig) -> ProtocolOutcome:
     n = config.n_photons
     probabilities = _born_probabilities(_sampled_populations(config, rng), n)
     counts = sample_counts(probabilities, config.tomography.photons_per_basis, rng)
-    rho_received = reconstruct(counts)
-    s = stokes_from_density(rho_received)
-    _, s1, s2, s3 = s
-    theta = config.alice_angle_deg
-    h1, h3 = linear_stokes(theta)
-    g1, g3 = linear_stokes(normalize_angle(theta + 90.0))
-    purity_received = 0.5 * (1.0 + s1 * s1 + s2 * s2 + s3 * s3)
-    dist_h0 = math.sqrt((s1 - h1) ** 2 + s2 * s2 + (s3 - h3) ** 2) / math.sqrt(2.0)
-    dist_h90 = math.sqrt((s1 - g1) ** 2 + s2 * s2 + (s3 - g3) ** 2) / math.sqrt(2.0)
-    code = decision_codes(purity_received, dist_h0, dist_h90, *config.resolved_thresholds())
-    return ProtocolOutcome(
-        decision=DECISIONS[int(code)],
-        alice_angle_deg=theta,
-        rho_received=rho_received,
-        purity_received=purity_received,
-        dist_to_h0=dist_h0,
-        dist_to_h90=dist_h90,
-        spectrum=stokes_spectrum(s),
-        # every siphoned photon is replaced, so the count never changes
-        stage_intensities=(n, n, n),
-    )
+    return _outcome(config, reconstruct(counts))
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolOutcome:

@@ -154,13 +154,13 @@ def sweep_delta_family(
     deltas: Sequence[float] = DEFAULT_DELTAS,
     base_theta: float = 30.0,
     fraction_grid: Sequence[float] = DEFAULT_FRACTIONS,
-    n_photons: int = 100,
 ) -> Dict[Tuple[float, float], SweepRecord]:
     """Peak intensity and angle over (angle gap, Eve fraction) combinations.
 
     Eve's angle is base_theta + delta; records come from the exact mixture,
     the whole grid in one call of the Bloch-vector kernel, and `detected`
-    from Alice's decision rule against her hypotheses for base_theta.
+    from Alice's decision rule against her hypotheses for base_theta. Each
+    record's siphon_total is the fraction of a sweep's default photon budget.
     """
     if not deltas:
         raise ValueError("deltas must be nonempty")
@@ -177,7 +177,7 @@ def sweep_delta_family(
         itertools.product(deltas, fraction_grid), *checks
     ):
         table[(delta, fraction)] = SweepRecord(
-            siphon_total=round(fraction * n_photons),
+            siphon_total=round(fraction * SweepSpec.n_photons),
             lambda_max=lambda_max,
             peak_angle_deg=angle,
             purity=purity,

@@ -56,6 +56,19 @@ class TestIntensityCheck:
         assert ps.intensity_check((100, 100, 90)) is False
 
 
+class TestEveConfig:
+    @pytest.mark.parametrize("siphons", [(10, 10), (10, 0), (0, 10)])
+    def test_disabled_eve_cannot_siphon(self, siphons):
+        with pytest.raises(ValueError, match="enabled=True"):
+            ps.EveConfig(*siphons, 45.0)
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_enabled_without_siphons_is_no_attack(self, mode):
+        idle = ps.run_protocol(config(eve=ps.EveConfig(0, 0, 45.0, enabled=True), mode=mode))
+        absent = ps.run_protocol(config(mode=mode))
+        assert idle.to_key_value_block() == absent.to_key_value_block()
+
+
 class TestRunProtocolExact:
     def test_worked_attack(self):
         out = ps.run_protocol(config(eve=ps.EveConfig(10, 10, 45, enabled=True)))
@@ -214,8 +227,8 @@ class TestOutcomeSerialization:
     def test_pure_state_never_renders_negative_zero(self):
         # Eve injecting Bob's own output state leaves the received state pure;
         # here lambda_min carries a -1.1e-16 rounding residue
-        eve = ps.EveConfig(0, 403, 108.5, enabled=True)
-        out = ps.run_protocol(config(theta=18.5, bit=1, n=888, eve=eve))
+        eve = ps.EveConfig(0, 781, 92.0, enabled=True)
+        out = ps.run_protocol(config(theta=2.0, bit=1, n=1110, eve=eve))
         assert out.decision is ps.Decision.BIT1
         assert out.spectrum.lambda_min < 0.0
         block = out.to_key_value_block()

@@ -121,6 +121,11 @@ class TestSweepDeltaFamily:
         with pytest.raises(ValueError):
             ps.sweep_delta_family(deltas=[])
 
+    def test_siphon_total_is_the_fraction_of_the_default_budget(self):
+        table = ps.sweep_delta_family()
+        for (_, f), rec in table.items():
+            assert rec.siphon_total == round(100 * f)
+
 
 class TestPeakAngleDrift:
     @pytest.mark.parametrize("name", ["fig4", "fig6", "fig8", "fig10"])
