@@ -80,7 +80,11 @@ def _parse_mix(text: str) -> PhotonEnsemble:
             raise argparse.ArgumentTypeError(
                 f"bad mixture component {part!r}; expected COUNT@ANGLE"
             ) from None
-    return PhotonEnsemble(tuple(components))
+    try:
+        return PhotonEnsemble(tuple(components))
+    except ValueError as exc:
+        # argparse would report a ValueError as "invalid _parse_mix value"
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_totals(text: str) -> Tuple[int, ...]:
@@ -241,13 +245,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.mode == "exact" and _refuse(args, "sweep --mode exact", ("seed",)):
         return 2
     _fill_defaults(args)
+    # made only once the sweep has run, so that a refused one writes nothing
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     params: Dict[str, object] = {"mode": args.mode}
 
     if delta_family:
         params["preset"] = args.preset
         table = sweep_delta_family()
+        out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "delta_family.csv"
         write_delta_family_csv(table, csv_path)
         outputs = [csv_path]
@@ -262,6 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             params["preset"] = args.preset
         spec = SweepSpec(theta, phi, args.bit, args.photons, totals, args.mode, args.seed)
         records = sweep_siphon(spec)
+        out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"{name}.csv"
         meta_path = out_dir / f"{name}.meta.txt"
         write_csv(records, csv_path)

@@ -82,9 +82,6 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def __array__(self, dtype=None):
-        return np.asarray(self.matrix, dtype=dtype)
-
 
 @dataclass(frozen=True)
 class Spectrum:

@@ -17,16 +17,20 @@ import numpy as np
 
 from .polarization import (
     DensityMatrix,
+    bloch_summary,
     density_of_pure,
     linear_stokes,
     normalize_angle,
     pure_state,
 )
 from .protocol import (
+    EVE_CODE,
+    EXACT_EPS_DISTANCE,
+    EXACT_EPS_PURITY,
     Decision,
     EveConfig,
     ProtocolConfig,
-    exact_assessment,
+    decision_codes,
     received_stokes,
     run_protocol,
 )
@@ -104,6 +108,35 @@ def _sampled_point(spec: SweepSpec, total: int) -> SweepRecord:
     )
 
 
+def _exact_records(siphon_totals: Iterable[int], s1, s3, theta_deg: float) -> List[SweepRecord]:
+    """One record per received state with linear Stokes components (s1, s3):
+    the Bloch-vector spectrum and Alice's checks, at the exact-mode
+    thresholds, for her angle theta; angles are None where the spectrum is
+    degenerate."""
+    s1, s3 = np.ravel(s1), np.ravel(s3)
+    summary = bloch_summary(s1, s3)
+    # Frobenius distances |r - r_h| / sqrt(2) to Alice's two hypotheses: her
+    # state and its 90 deg rotation
+    h1, h3 = linear_stokes(theta_deg)
+    g1, g3 = linear_stokes(normalize_angle(theta_deg + 90.0))
+    codes = decision_codes(
+        summary.purity,
+        np.hypot(s1 - h1, s3 - h3) / math.sqrt(2.0),
+        np.hypot(s1 - g1, s3 - g3) / math.sqrt(2.0),
+        EXACT_EPS_DISTANCE, EXACT_EPS_PURITY,
+    )
+    return [
+        SweepRecord(total, lambda_max, None if math.isnan(angle) else angle, purity, detected)
+        for total, lambda_max, angle, purity, detected in zip(
+            siphon_totals,
+            summary.lambda_max.tolist(),
+            summary.principal_angle_deg.tolist(),
+            summary.purity.tolist(),
+            (codes == EVE_CODE).tolist(),
+        )
+    ]
+
+
 def sweep_siphon(spec: SweepSpec) -> List[SweepRecord]:
     """One protocol run per siphon total, split evenly across the two stages.
 
@@ -116,17 +149,7 @@ def sweep_siphon(spec: SweepSpec) -> List[SweepRecord]:
     s1, s3 = received_stokes(
         spec.n_photons, spec.theta_deg, spec.bob_bit, half, half, spec.phi_deg
     )
-    checks = exact_assessment(s1, s3, spec.theta_deg)
-    return [
-        SweepRecord(*fields)
-        for fields in zip(
-            spec.siphon_totals,
-            checks.lambda_max,
-            checks.principal_angle_deg,
-            checks.purity,
-            checks.detected,
-        )
-    ]
+    return _exact_records(spec.siphon_totals, s1, s3, spec.theta_deg)
 
 
 def mixture_density(theta_deg: float, phi_deg: float, fraction: float) -> DensityMatrix:
@@ -171,19 +194,10 @@ def sweep_delta_family(
     a1, a3 = linear_stokes(theta)
     b1, b3 = linear_stokes(np.array([[normalize_angle(base_theta + d)] for d in deltas]))
     f = np.array(fraction_grid, dtype=float)
-    checks = exact_assessment((1.0 - f) * a1 + f * b1, (1.0 - f) * a3 + f * b3, theta)
-    table: Dict[Tuple[float, float], SweepRecord] = {}
-    for (delta, fraction), lambda_max, angle, purity, detected in zip(
-        itertools.product(deltas, fraction_grid), *checks
-    ):
-        table[(delta, fraction)] = SweepRecord(
-            siphon_total=round(fraction * SweepSpec.n_photons),
-            lambda_max=lambda_max,
-            peak_angle_deg=angle,
-            purity=purity,
-            detected=detected,
-        )
-    return table
+    grid = list(itertools.product(deltas, fraction_grid))
+    totals = [round(fraction * SweepSpec.n_photons) for _, fraction in grid]
+    records = _exact_records(totals, (1.0 - f) * a1 + f * b1, (1.0 - f) * a3 + f * b3, theta)
+    return dict(zip(grid, records))
 
 
 def _fmt_angle(angle: Optional[float]) -> str:

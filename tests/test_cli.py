@@ -172,6 +172,23 @@ class TestSweepCommand:
         assert code == 2
         assert "--preset" in err
 
+    def test_bad_totals_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--theta", "30", "--phi", "45", "--totals", "1,x",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "bad totals list '1,x'" in capsys.readouterr().err
+
+    def test_domain_error_creates_no_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "o1"
+        code, _, err = run_cli(
+            capsys, "sweep", "--theta", "30", "--phi", "45", "--totals", "0,5",
+            "--out", str(out_dir),
+        )
+        assert code == 1
+        assert "even integers, got 5" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("preset, bit", sorted(PRESET_CSV_SHA256))
     def test_preset_csv_golden_bytes(self, capsys, tmp_path, preset, bit):
         code, _, _ = run_cli(
@@ -284,6 +301,18 @@ class TestTomographyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["tomography", "--mix", "80@30,oops"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("mix, message", [
+        ("80@nan", "polarization angle must be finite, got nan"),
+        ("-5@30", "photon counts must be non-negative, got -5"),
+    ], ids=["nan-angle", "negative-count"])
+    def test_invalid_mixture_names_the_problem(self, capsys, mix, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["tomography", f"--mix={mix}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --mix: {message}" in err
+        assert "_parse_mix" not in err
 
     def test_missing_state_flags(self, capsys):
         code, _, err = run_cli(capsys, "tomography")

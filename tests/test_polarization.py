@@ -97,6 +97,19 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="semidefinite"):
             DensityMatrix(np.array([[1.1, 0.0], [0.0, -0.1]]))
 
+    @pytest.mark.parametrize("matrix, message", [
+        (np.eye(3) / 3.0, "must be 2x2"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "must be finite"),
+        (np.array([[0.5 + 1e-3j, 0.0], [0.0, 0.5]]), "diagonal must be real"),
+    ])
+    def test_rejects_malformed_matrix(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(matrix)
+
+    def test_rejects_unnormalized_pure_state(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            ps.density_of_pure(ps.PureState(1.0, 1.0))
+
     def test_matrix_is_read_only(self):
         with pytest.raises(ValueError):
             rho(30).matrix[0, 0] = 5.0
@@ -118,6 +131,10 @@ class TestEnsembleDensity:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
             ps.ensemble_density(ps.ensemble([(0, 30)]))
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ps.ensemble([(-1, 30), (2, 45)])
 
     def test_fractional_counts_rejected(self):
         with pytest.raises(ValueError, match="integer"):

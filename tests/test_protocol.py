@@ -62,11 +62,27 @@ class TestEveConfig:
         with pytest.raises(ValueError, match="enabled=True"):
             ps.EveConfig(*siphons, 45.0)
 
+    @pytest.mark.parametrize("siphons", [(-1, 0), (0, -1)])
+    def test_negative_siphon_rejected(self, siphons):
+        with pytest.raises(ValueError, match="non-negative"):
+            ps.EveConfig(*siphons, 45.0, enabled=True)
+
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_enabled_without_siphons_is_no_attack(self, mode):
         idle = ps.run_protocol(config(eve=ps.EveConfig(0, 0, 45.0, enabled=True), mode=mode))
         absent = ps.run_protocol(config(mode=mode))
         assert idle.to_key_value_block() == absent.to_key_value_block()
+
+
+class TestProtocolConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 0, "n_photons must be positive"),
+        ("bit", 2, "bob_bit must be 0 or 1"),
+        ("mode", "fast", "mode must be 'exact' or 'sampled'"),
+    ])
+    def test_invalid_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            config(**{field: value})
 
 
 class TestRunProtocolExact:
@@ -107,6 +123,14 @@ class TestRunProtocolExact:
     def test_siphon_exceeding_photons_rejected(self):
         with pytest.raises(ValueError, match="siphon"):
             ps.run_protocol(config(eve=ps.EveConfig(150, 0, 45, enabled=True)))
+
+    @pytest.mark.parametrize("siphons, message", [
+        ((11, 0), "siphon count 11 exceeds the 10 untouched photons available at this stage"),
+        ((6, 5), "siphon count 5 exceeds the 4 untouched photons available at this stage"),
+    ])
+    def test_siphon_excess_names_the_stage(self, siphons, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ps.run_protocol(config(n=10, eve=ps.EveConfig(*siphons, 45, enabled=True)))
 
     def test_purity_closed_form_under_attack(self):
         # purity(rho'') = 1 - 2 f (1-f) sin^2(delta); validated against the

@@ -25,6 +25,35 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="increasing"):
             ps.SweepSpec(theta_deg=30, phi_deg=45, siphon_totals=(10, 10))
 
+    def test_non_positive_photon_budget_rejected(self):
+        with pytest.raises(ValueError, match="n_photons must be positive"):
+            ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=0)
+
+
+def _mixture(f):
+    return ps.mixture_density(30.0, 60.0, f)
+
+
+def _closed_form(f):
+    return ps.closed_form_lambda_max(f, 30.0)
+
+
+def _delta_family(f):
+    return ps.sweep_delta_family(fraction_grid=(0.0, f))
+
+
+@pytest.mark.parametrize("call, fraction", [
+    (_mixture, -0.1),
+    (_mixture, 1.5),
+    (_closed_form, -0.1),
+    (_closed_form, 1.5),
+    (_delta_family, -0.1),
+    (_delta_family, 0.6),  # the delta family stops at half the photon budget
+], ids=lambda v: v.__name__.lstrip("_") if callable(v) else None)
+def test_fraction_out_of_range_rejected(call, fraction):
+    with pytest.raises(ValueError, match="must be in"):
+        call(fraction)
+
 
 class TestClosedFormLambdaMax:
     def test_worked_example_point(self):

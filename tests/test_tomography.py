@@ -64,6 +64,11 @@ class TestSimulateCounts:
         assert counts.n_r + counts.n_l == 500
 
 
+def test_photons_per_basis_must_be_positive():
+    with pytest.raises(ValueError, match="photons_per_basis must be >= 1"):
+        ps.TomographyConfig(photons_per_basis=0)
+
+
 class TestStokesEstimate:
     def test_direct_frequencies(self):
         s = ps.stokes_estimate(ps.MeasurementCounts(75, 25, 93, 7, 50, 50))
@@ -80,6 +85,14 @@ class TestStokesEstimate:
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError, match="D/A"):
             ps.stokes_estimate(ps.MeasurementCounts(10, 10, 0, 0, 10, 10))
+
+    @pytest.mark.parametrize("counts, basis", [
+        ((0, 0, 10, 10, 10, 10), "H/V"),
+        ((10, 10, 10, 10, 0, 0), "R/L"),
+    ])
+    def test_other_empty_basis_rejected(self, counts, basis):
+        with pytest.raises(ValueError, match=f"no photons recorded in the {basis} basis"):
+            ps.stokes_estimate(ps.MeasurementCounts(*counts))
 
 
 class TestReconstruct:
