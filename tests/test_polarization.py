@@ -101,7 +101,7 @@ class TestDensityMatrix:
         (np.eye(3) / 3.0, "must be 2x2"),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), "must be finite"),
         (np.array([[0.5 + 1e-3j, 0.0], [0.0, 0.5]]), "diagonal must be real"),
-    ])
+    ], ids=["shape", "non-finite", "complex-diagonal"])
     def test_rejects_malformed_matrix(self, matrix, message):
         with pytest.raises(ValueError, match=message):
             DensityMatrix(matrix)

@@ -79,7 +79,7 @@ class TestProtocolConfig:
         ("n", 0, "n_photons must be positive"),
         ("bit", 2, "bob_bit must be 0 or 1"),
         ("mode", "fast", "mode must be 'exact' or 'sampled'"),
-    ])
+    ], ids=["n_photons", "bob_bit", "mode"])
     def test_invalid_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             config(**{field: value})
@@ -127,7 +127,7 @@ class TestRunProtocolExact:
     @pytest.mark.parametrize("siphons, message", [
         ((11, 0), "siphon count 11 exceeds the 10 untouched photons available at this stage"),
         ((6, 5), "siphon count 5 exceeds the 4 untouched photons available at this stage"),
-    ])
+    ], ids=["stage1", "stage2"])
     def test_siphon_excess_names_the_stage(self, siphons, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ps.run_protocol(config(n=10, eve=ps.EveConfig(*siphons, 45, enabled=True)))

@@ -89,7 +89,7 @@ class TestStokesEstimate:
     @pytest.mark.parametrize("counts, basis", [
         ((0, 0, 10, 10, 10, 10), "H/V"),
         ((10, 10, 10, 10, 0, 0), "R/L"),
-    ])
+    ], ids=["H/V", "R/L"])
     def test_other_empty_basis_rejected(self, counts, basis):
         with pytest.raises(ValueError, match=f"no photons recorded in the {basis} basis"):
             ps.stokes_estimate(ps.MeasurementCounts(*counts))
