@@ -8,6 +8,7 @@ error (e.g. siphoning more photons than exist) and exit 2 a usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -87,6 +88,18 @@ def _parse_mix(text: str) -> PhotonEnsemble:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _parse_angle(text: str) -> float:
+    """An angle in degrees as float parses it; a non-finite one is a usage
+    error, as it is inside --mix."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"polarization angle must be finite, got {value!r}")
+    return value
+
+
 def _parse_totals(text: str) -> Tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
@@ -124,12 +137,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("protocol", help="run a single protocol transmission")
-    p.add_argument("--theta", type=float, required=True, help="Alice's polarization angle (deg)")
+    p.add_argument(
+        "--theta", type=_parse_angle, required=True, help="Alice's polarization angle (deg)"
+    )
     p.add_argument("--bit", type=int, choices=(0, 1), required=True, help="Bob's bit")
     p.add_argument("--photons", type=int, required=True, help="photons Alice sends")
     p.add_argument("--eve-siphon1", type=int, default=0, help="photons Eve siphons in stage 1")
     p.add_argument("--eve-siphon2", type=int, default=0, help="photons Eve siphons in stage 2")
-    p.add_argument("--eve-angle", type=float, default=0.0, help="Eve's injection angle (deg)")
+    p.add_argument(
+        "--eve-angle", type=_parse_angle, default=0.0, help="Eve's injection angle (deg)"
+    )
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--seed", type=int, help="RNG seed, sampled mode (default 0)")
     p.add_argument(
@@ -140,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="run figure sweeps or a custom siphon sweep")
     s.add_argument("--preset", choices=sorted(list(PRESETS) + list(DELTA_FAMILY_PRESETS)))
-    s.add_argument("--theta", type=float, help="Alice's angle for a custom sweep (deg)")
-    s.add_argument("--phi", type=float, help="Eve's angle for a custom sweep (deg)")
+    s.add_argument("--theta", type=_parse_angle, help="Alice's angle for a custom sweep (deg)")
+    s.add_argument("--phi", type=_parse_angle, help="Eve's angle for a custom sweep (deg)")
     s.add_argument("--totals", type=_parse_totals, help="comma-separated siphon totals")
     s.add_argument("--bit", type=int, choices=(0, 1), help="Bob's bit (default 0)")
     s.add_argument("--photons", type=int, help="photons Alice sends (default 100)")
@@ -151,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tomography", help="simulate tomography of a known ensemble")
     state = t.add_mutually_exclusive_group()
-    state.add_argument("--theta", type=float, help="single pure-state angle (deg)")
+    state.add_argument("--theta", type=_parse_angle, help="single pure-state angle (deg)")
     state.add_argument("--mix", type=_parse_mix, help="mixture as COUNT@ANGLE,COUNT@ANGLE,...")
     t.add_argument("--photons-per-basis", type=int, default=DEFAULTS["photons_per_basis"])
     t.add_argument("--seed", type=int, default=DEFAULTS["seed"])

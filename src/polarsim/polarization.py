@@ -9,6 +9,7 @@ theta and theta + 180 deg is the same physical state.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
@@ -65,18 +66,19 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
-        if not np.isfinite(m.view(float)).all():
-            raise ValueError("density matrix entries must be finite")
-        # the checks below run on Python complex numbers, which cost less
-        # than numpy scalars
+        # the checks run on Python complex numbers, which cost less than
+        # numpy scalars
         m00, m01, m10, m11 = m.ravel().tolist()
+        if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+            raise ValueError("density matrix entries must be finite")
         if abs(m01 - m10.conjugate()) > HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         if abs(m00.imag) > HERMITICITY_TOL or abs(m11.imag) > HERMITICITY_TOL:
             raise ValueError("density matrix diagonal must be real")
-        if abs(m00.real + m11.real - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace must be 1, got {np.trace(m).real}")
-        lmin = _eigvals_2x2(m)[1]
+        trace = m00.real + m11.real
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace must be 1, got {trace}")
+        lmin = _eigvals_2x2(m00.real, m01, m11.real)[1]
         if lmin < -PSD_TOL:
             raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {lmin})")
         m.flags.writeable = False
@@ -123,11 +125,13 @@ def ensemble(components: Sequence[Tuple[int, float]]) -> PhotonEnsemble:
 
 def density_of_pure(state: PureState) -> DensityMatrix:
     """Projector |psi><psi| of a normalized real-amplitude state."""
-    norm = state.a0 * state.a0 + state.a1 * state.a1
+    a0, a1 = state
+    m00, m11 = a0 * a0, a1 * a1
+    norm = m00 + m11
     if abs(norm - 1.0) > 1e-12:
         raise ValueError(f"pure state is not normalized: |a|^2 = {norm}")
-    v = np.array([state.a0, state.a1], dtype=complex)
-    return DensityMatrix(np.outer(v, v.conj()))
+    m01 = a0 * a1
+    return DensityMatrix(np.array([[m00, m01], [m01, m11]], dtype=complex))
 
 
 def ensemble_density(ens: PhotonEnsemble) -> DensityMatrix:
@@ -135,14 +139,16 @@ def ensemble_density(ens: PhotonEnsemble) -> DensityMatrix:
     total = ens.total
     if total <= 0:
         raise ValueError("ensemble has no photons")
-    acc = np.zeros((2, 2), dtype=complex)
+    m00 = m01 = m11 = 0.0
     for count, angle in ens.components:
         if count == 0:
             continue
-        s = pure_state(angle)
-        v = np.array([s.a0, s.a1], dtype=complex)
-        acc += (count / total) * np.outer(v, v.conj())
-    return DensityMatrix(acc)
+        a0, a1 = pure_state(angle)
+        weight = count / total
+        m00 += weight * (a0 * a0)
+        m01 += weight * (a0 * a1)
+        m11 += weight * (a1 * a1)
+    return DensityMatrix(np.array([[m00, m01], [m01, m11]], dtype=complex))
 
 
 def rotate_ensemble(ens: PhotonEnsemble, delta_degrees: float) -> PhotonEnsemble:
@@ -154,8 +160,8 @@ def rotate_ensemble(ens: PhotonEnsemble, delta_degrees: float) -> PhotonEnsemble
 
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2), in [0.5, 1] for a qubit; 1 iff pure."""
-    m = rho.matrix
-    return float(np.trace(m @ m).real)
+    m00, m01, m10, m11 = rho.matrix.ravel().tolist()
+    return (m00 * m00 + m01 * m10 + m10 * m01 + m11 * m11).real
 
 
 def stokes_from_density(rho: DensityMatrix) -> StokesVector:
@@ -164,12 +170,12 @@ def stokes_from_density(rho: DensityMatrix) -> StokesVector:
     Basis assignment: S1 <-> D/A (off-diagonal real), S2 <-> R/L (imaginary
     part), S3 <-> H/V (diagonal).
     """
-    m = rho.matrix
+    m00, m01, m10, m11 = rho.matrix.ravel().tolist()
     return StokesVector(
-        s0=float((m[0, 0] + m[1, 1]).real),
-        s1=float(2.0 * m[0, 1].real),
-        s2=float(2.0 * m[1, 0].imag),
-        s3=float((m[0, 0] - m[1, 1]).real),
+        s0=(m00 + m11).real,
+        s1=2.0 * m01.real,
+        s2=2.0 * m10.imag,
+        s3=(m00 - m11).real,
     )
 
 
@@ -191,10 +197,11 @@ def density_from_stokes(s: StokesVector) -> DensityMatrix:
     return DensityMatrix(stokes_matrix(s))
 
 
-def _eigvals_2x2(m: np.ndarray) -> Tuple[float, float]:
-    """Closed-form eigenvalues of a 2x2 Hermitian matrix, descending."""
-    half_trace = 0.5 * (m[0, 0].real + m[1, 1].real)
-    radius = math.hypot(0.5 * (m[0, 0].real - m[1, 1].real), abs(m[0, 1]))
+def _eigvals_2x2(m00: float, m01: complex, m11: float) -> Tuple[float, float]:
+    """Closed-form eigenvalues, descending, of the 2x2 Hermitian matrix with
+    real diagonal (m00, m11) and upper off-diagonal entry m01."""
+    half_trace = 0.5 * (m00 + m11)
+    radius = math.hypot(0.5 * (m00 - m11), abs(m01))
     return half_trace + radius, half_trace - radius
 
 
@@ -205,20 +212,20 @@ def eigendecompose(rho: DensityMatrix) -> Spectrum:
     corresponding polarization axis, sign-normalized so the first nonzero
     component is positive and reduced to [0, 180).
     """
-    m = rho.matrix
-    lmax, lmin = _eigvals_2x2(m)
+    m00, c, _, m11 = rho.matrix.ravel().tolist()
+    a, d = m00.real, m11.real
+    lmax, lmin = _eigvals_2x2(a, c, d)
     if lmax - lmin < DEGENERACY_TOL:
         return Spectrum(lmax, lmin, None, None)
 
-    a = m[0, 0].real
-    c = m[0, 1]
     if abs(c) < 1e-300:
-        principal = 0.0 if a >= m[1, 1].real else 90.0
+        principal = 0.0 if a >= d else 90.0
     else:
         # eigenvector for lmax is (c, lmax - a); rotate the global phase so the
-        # first component is real and positive before reading off the angle
-        phase = np.conj(c) / abs(c)
-        v1 = ((lmax - a) * phase).real
+        # first component is real and positive before reading off the angle.
+        # v1 is the real part of (lmax - a) conj(c) / |c|, with the division
+        # rounded as numpy's complex division rounds it: times 1 / |c|
+        v1 = (lmax - a) * (c.real * (1.0 / abs(c)))
         principal = normalize_angle(math.degrees(math.atan2(v1, abs(c))))
     minor = normalize_angle(principal + 90.0)
     return Spectrum(lmax, lmin, principal, minor)
@@ -243,7 +250,8 @@ def stokes_spectrum(s: StokesVector) -> Spectrum:
 
 def matrix_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Frobenius distance between two density matrices."""
-    return float(np.linalg.norm(a.matrix - b.matrix))
+    entries = zip(a.matrix.ravel().tolist(), b.matrix.ravel().tolist())
+    return math.hypot(*[abs(x - y) for x, y in entries])
 
 
 # Bloch-vector kernel. A linear polarization at angle t has the real Stokes

@@ -213,6 +213,16 @@ def decision_codes(purity, dist_h0, dist_h90, eps_dist: float, eps_purity: float
     return np.where(eve, EVE_CODE, dist_h0 > dist_h90)
 
 
+def _decision(
+    purity: float, dist_h0: float, dist_h90: float, eps_dist: float, eps_purity: float
+) -> Decision:
+    """decision_codes on one state, in Python arithmetic, which costs less
+    than numpy's on scalars."""
+    if purity < 1.0 - eps_purity or (dist_h0 > eps_dist and dist_h90 > eps_dist):
+        return Decision.EVE_DETECTED
+    return Decision.BIT1 if dist_h0 > dist_h90 else Decision.BIT0
+
+
 def decide(
     rho_received: DensityMatrix,
     rho_h0: DensityMatrix,
@@ -220,15 +230,15 @@ def decide(
     eps_dist: float,
     eps_purity: float,
 ) -> Decision:
-    """Alice's decision rule (decision_codes) on density matrices."""
-    code = decision_codes(
+    """Alice's decision rule on density matrices: their purity and Frobenius
+    distances."""
+    return _decision(
         purity(rho_received),
         matrix_distance(rho_received, rho_h0),
         matrix_distance(rho_received, rho_h90),
         eps_dist,
         eps_purity,
     )
-    return DECISIONS[int(code)]
 
 
 def intensity_check(stage_intensities: Tuple[int, ...]) -> bool:
@@ -251,14 +261,15 @@ def _outcome(
     s = stokes_from_density(rho_received)
     _, s1, s2, s3 = s
     theta = config.alice_angle_deg
-    h1, h3 = linear_stokes(theta)
-    g1, g3 = linear_stokes(normalize_angle(theta + 90.0))
+    # the hypotheses' Stokes components (sin 2t, cos 2t), in Python floats
+    t, u = math.radians(2.0 * theta), math.radians(2.0 * normalize_angle(theta + 90.0))
+    h1, h3 = math.sin(t), math.cos(t)
+    g1, g3 = math.sin(u), math.cos(u)
     purity_received = 0.5 * (1.0 + s1 * s1 + s2 * s2 + s3 * s3)
     dist_h0 = math.sqrt((s1 - h1) ** 2 + s2 * s2 + (s3 - h3) ** 2) / math.sqrt(2.0)
     dist_h90 = math.sqrt((s1 - g1) ** 2 + s2 * s2 + (s3 - g3) ** 2) / math.sqrt(2.0)
     if decision is None:
-        code = decision_codes(purity_received, dist_h0, dist_h90, *config.resolved_thresholds())
-        decision = DECISIONS[int(code)]
+        decision = _decision(purity_received, dist_h0, dist_h90, *config.resolved_thresholds())
     n = config.n_photons
     return ProtocolOutcome(
         decision=decision,

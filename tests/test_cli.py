@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import random
 
 import pytest
 
@@ -29,6 +32,10 @@ PRESET_CSV_SHA256 = {
 }
 DELTA_FAMILY_CSV_SHA256 = "300b34157bc815705f84cfeb60fa29596255dc844bfbea33e93f388e8897d6ab"
 
+# sha256 of the stdout of exact_protocol_argvs(), recorded from the
+# numpy-scalar 2x2 matrix helpers before they moved to Python numbers
+EXACT_PROTOCOL_SHA256 = "290828f1e03715a35f7e3f94e117c34af46bdb4e964698ed7d8ccb3444ff3e59"
+
 # the README's canonical attack run, recorded alongside the preset digests
 CANONICAL_ATTACK_BLOCK = """\
 decision=EveDetected
@@ -52,6 +59,45 @@ def run_cli(capsys, *argv):
 
 def kv(out):
     return dict(line.split("=", 1) for line in out.strip().splitlines() if "=" in line)
+
+
+def exact_protocol_argvs():
+    """200 seeded exact `polarsim protocol` runs, n from 10 to 10^5. Eve
+    siphons in about 70%; one in five of those is stealthy: she injects Bob's
+    own output state (no stage-1 siphon at bit 1), so Alice receives a pure
+    state equal to a hypothesis."""
+    rng = random.Random("exact-protocol-golden")
+    argvs = []
+    for _ in range(200):
+        n = round(10 ** rng.uniform(1.0, 5.0))
+        theta = 0.5 * rng.randrange(360)
+        bit = rng.randrange(2)
+        s1 = s2 = 0
+        phi = 0.0
+        if rng.random() < 0.7:
+            if rng.random() < 0.2:
+                phi = theta + 90.0 * bit
+                s1 = 0 if bit else rng.randint(0, n // 2)
+            else:
+                phi = 0.5 * rng.randrange(360)
+                s1 = rng.randint(0, n // 2)
+            s2 = rng.randint(0, n // 2)
+        argvs.append([
+            "protocol", "--theta", str(theta), "--bit", str(bit), "--photons", str(n),
+            "--eve-siphon1", str(s1), "--eve-siphon2", str(s2), "--eve-angle", str(phi),
+            "--mode", "exact",
+        ])
+    return argvs
+
+
+def test_exact_protocol_output_golden():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for argv in exact_protocol_argvs():
+            assert main(argv) == 0, argv
+    text = out.getvalue()
+    assert "-0.000000" not in text
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT_PROTOCOL_SHA256
 
 
 class TestProtocolCommand:
@@ -341,3 +387,22 @@ class TestTomographyCommand:
         assert lines[0] == "n_h,n_v,n_d,n_a,n_r,n_l"
         assert lines[1].split(",")[0] == "10"
         assert (tmp_path / "counts.csv.manifest").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--theta=ANGLE", "--bit", "0", "--photons", "10", "--out", "OUT/row.csv"],
+    ["protocol", "--theta", "30", "--bit", "0", "--photons", "10", "--eve-siphon1", "2",
+     "--eve-angle=ANGLE", "--out", "OUT/row.csv"],
+    ["sweep", "--theta=ANGLE", "--phi", "45", "--totals", "0,10", "--out", "OUT/sweep"],
+    ["sweep", "--theta", "30", "--phi=ANGLE", "--totals", "0,10", "--out", "OUT/sweep"],
+    ["tomography", "--theta=ANGLE", "--out", "OUT/counts.csv"],
+], ids=["protocol-theta", "protocol-eve-angle", "sweep-theta", "sweep-phi", "tomography-theta"])
+def test_non_finite_angle_usage_error(capsys, tmp_path, argv, value):
+    # every angle flag refuses a non-finite value while parsing, as --mix does
+    argv = [arg.replace("ANGLE", value).replace("OUT", str(tmp_path)) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "polarization angle must be finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

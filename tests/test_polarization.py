@@ -89,6 +89,11 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.5], [0.1, 0.5]]))
 
+    def test_rejects_non_hermitian_imaginary_part(self):
+        # equal real parts; the imaginary parts must be conjugate, not equal
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.array([[0.5, 0.1j], [0.1j, 0.5]]))
+
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.array([[0.7, 0.0], [0.0, 0.7]]))
@@ -101,7 +106,9 @@ class TestDensityMatrix:
         (np.eye(3) / 3.0, "must be 2x2"),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), "must be finite"),
         (np.array([[0.5 + 1e-3j, 0.0], [0.0, 0.5]]), "diagonal must be real"),
-    ], ids=["shape", "non-finite", "complex-diagonal"])
+        (np.array([[np.inf, 0.0], [0.0, 0.0]]), "must be finite"),
+        (np.array([[0.5, complex(0.1, np.nan)], [0.1, 0.5]]), "must be finite"),
+    ], ids=["shape", "non-finite", "complex-diagonal", "inf-diagonal", "nan-imaginary"])
     def test_rejects_malformed_matrix(self, matrix, message):
         with pytest.raises(ValueError, match=message):
             DensityMatrix(matrix)

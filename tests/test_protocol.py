@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polarsim as ps
+from polarsim import protocol
 from polarsim.polarization import DensityMatrix
 
 MIX = DensityMatrix(np.array([[0.7, 0.44641016151377546], [0.44641016151377546, 0.3]]))
@@ -43,6 +44,33 @@ class TestDecide:
     def test_tie_breaks_to_bit0(self):
         # rho(45) is exactly equidistant from rho(0) and rho(90) in floats
         assert ps.decide(rho(45), rho(0), rho(90), 2.0, 1e-6) is ps.Decision.BIT0
+
+
+@st.composite
+def decision_inputs(draw):
+    """(purity, dist_h0, dist_h90, eps_dist, eps_purity), with purity on its
+    threshold, distances on theirs and equal distances drawn often."""
+    eps_dist = draw(st.floats(1e-12, 1.0))
+    eps_purity = draw(st.floats(1e-12, 0.5))
+    purity = draw(st.one_of(st.floats(0.5, 1.0), st.just(1.0 - eps_purity)))
+    dist_h0 = draw(st.one_of(st.floats(0.0, 2.0), st.just(eps_dist)))
+    dist_h90 = draw(st.one_of(st.floats(0.0, 2.0), st.just(eps_dist), st.just(dist_h0)))
+    return purity, dist_h0, dist_h90, eps_dist, eps_purity
+
+
+@settings(max_examples=500, deadline=None)
+@given(decision_inputs())
+@example((1.0, 1e-9, 1e-9, 1e-9, 1e-6))
+@example((1.0 - 1e-6, 0.0, 1.0, 1e-9, 1e-6))
+@example((1.0, 0.25, 0.25, 0.5, 1e-6))
+def test_scalar_decision_matches_decision_codes(inputs):
+    # decide and _outcome decide with the scalar rule, the sweeps with the
+    # array rule
+    decision = protocol._decision(*inputs)
+    assert decision is protocol.DECISIONS[int(protocol.decision_codes(*inputs))]
+    _, dist_h0, dist_h90, _, _ = inputs
+    if dist_h0 == dist_h90 and decision is not ps.Decision.EVE_DETECTED:
+        assert decision is ps.Decision.BIT0
 
 
 class TestIntensityCheck:
