@@ -17,11 +17,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from .polarization import (
     PhotonEnsemble,
-    eigendecompose,
     ensemble_density,
     format_decimal,
-    purity,
     render_matrix,
+    stokes_from_density,
+    stokes_purity,
+    stokes_spectrum,
 )
 from .protocol import (
     PROTOCOL_CSV_HEADER,
@@ -42,7 +43,7 @@ from .tomography import (
     COUNTS_CSV_HEADER,
     RNG_ALGORITHM,
     TomographyConfig,
-    reconstruct,
+    reconstruct_from_stokes,
     simulate_counts,
     stokes_estimate,
 )
@@ -311,18 +312,20 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     config = TomographyConfig(photons_per_basis=args.photons_per_basis, seed=args.seed)
     counts = simulate_counts(rho_true, config)
     stokes = stokes_estimate(counts)
-    rho_hat = reconstruct(counts)
-    spectrum = eigendecompose(rho_hat)
+    rho_hat = reconstruct_from_stokes(stokes)
+    # the read-out of every protocol report, off the reconstructed Stokes vector
+    s_hat = stokes_from_density(rho_hat)
+    spectrum = stokes_spectrum(s_hat)
 
     print(f"counts n_h={counts.n_h} n_v={counts.n_v} n_d={counts.n_d} "
           f"n_a={counts.n_a} n_r={counts.n_r} n_l={counts.n_l}")
-    print(f"stokes_estimate=({stokes.s0:.6f}, {stokes.s1:.6f}, {stokes.s2:.6f}, {stokes.s3:.6f})")
+    print(f"stokes_estimate=({', '.join(map(format_decimal, stokes))})")
     print(f"reconstructed={render_matrix(rho_hat)}")
-    print(f"purity={purity(rho_hat):.6f}")
-    print(f"lambda_max={spectrum.lambda_max:.6f}")
+    print(f"purity={format_decimal(stokes_purity(s_hat))}")
+    print(f"lambda_max={format_decimal(spectrum.lambda_max)}")
     print(f"lambda_min={format_decimal(spectrum.lambda_min)}")
     angle = spectrum.principal_angle_deg
-    print("principal_angle_deg=" + ("" if angle is None else f"{angle:.6f}"))
+    print("principal_angle_deg=" + ("" if angle is None else format_decimal(angle)))
 
     if args.out is not None:
         _write_out(

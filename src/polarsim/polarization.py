@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,20 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
+
+# the largest photon count numpy's int64 draws and arrays hold
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def check_count(value, message: str) -> None:
+    """Raise ValueError(f"{message}, got {value!r}") unless value is a Python
+    or numpy integer; a bool is not a photon count."""
+    # configs are built per protocol run: the type test passes a plain int
+    # for a fraction of the cost of the isinstance tests
+    if type(value) is not int and (
+        not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+    ):
+        raise ValueError(f"{message}, got {value!r}")
 
 
 def normalize_angle(raw_degrees: float) -> float:
@@ -107,8 +121,7 @@ class PhotonEnsemble:
     def __post_init__(self) -> None:
         canonical = []
         for count, angle in self.components:
-            if not isinstance(count, (int, np.integer)) or isinstance(count, bool):
-                raise ValueError(f"photon counts must be integers, got {count!r}")
+            check_count(count, "photon counts must be integers")
             if count < 0:
                 raise ValueError(f"photon counts must be non-negative, got {count}")
             canonical.append((int(count), normalize_angle(angle)))
@@ -134,13 +147,16 @@ def density_of_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.array([[m00, m01], [m01, m11]], dtype=complex))
 
 
-def ensemble_density(ens: PhotonEnsemble) -> DensityMatrix:
-    """Convex combination sum_i p_i |psi_i><psi_i| with p_i = count_i / total."""
-    total = ens.total
-    if total <= 0:
-        raise ValueError("ensemble has no photons")
+def mixture_entries(
+    components: Iterable[Tuple[int, float]], total: int
+) -> Tuple[float, float, float]:
+    """Real entries (m00, m01, m11) of sum_i (count_i / total) |psi_i><psi_i|
+    over linear-polarization components (count, angle), summed in component
+    order and skipping empty components: the one composition of a photon
+    mixture, which ensemble_density and sampled mode's Born probabilities
+    both read, so the two give the same floats."""
     m00 = m01 = m11 = 0.0
-    for count, angle in ens.components:
+    for count, angle in components:
         if count == 0:
             continue
         a0, a1 = pure_state(angle)
@@ -148,6 +164,15 @@ def ensemble_density(ens: PhotonEnsemble) -> DensityMatrix:
         m00 += weight * (a0 * a0)
         m01 += weight * (a0 * a1)
         m11 += weight * (a1 * a1)
+    return m00, m01, m11
+
+
+def ensemble_density(ens: PhotonEnsemble) -> DensityMatrix:
+    """Convex combination sum_i p_i |psi_i><psi_i| with p_i = count_i / total."""
+    total = ens.total
+    if total <= 0:
+        raise ValueError("ensemble has no photons")
+    m00, m01, m11 = mixture_entries(ens.components, total)
     return DensityMatrix(np.array([[m00, m01], [m01, m11]], dtype=complex))
 
 
@@ -229,6 +254,13 @@ def eigendecompose(rho: DensityMatrix) -> Spectrum:
         principal = normalize_angle(math.degrees(math.atan2(v1, abs(c))))
     minor = normalize_angle(principal + 90.0)
     return Spectrum(lmax, lmin, principal, minor)
+
+
+def stokes_purity(s: StokesVector) -> float:
+    """tr(rho^2) = (1 + |r|^2)/2 of the state with Stokes vector s,
+    r = (s1, s2, s3)."""
+    _, s1, s2, s3 = s
+    return 0.5 * (1.0 + s1 * s1 + s2 * s2 + s3 * s3)
 
 
 def stokes_spectrum(s: StokesVector) -> Spectrum:

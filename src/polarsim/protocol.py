@@ -21,15 +21,18 @@ from .polarization import (
     DensityMatrix,
     PhotonEnsemble,
     Spectrum,
+    check_count,
     density_of_pure,
     ensemble_density,
     format_decimal,
     linear_stokes,
     matrix_distance,
+    mixture_entries,
     normalize_angle,
     pure_state,
     purity,
     stokes_from_density,
+    stokes_purity,
     stokes_spectrum,
 )
 from .tomography import TomographyConfig, clamp_probability, reconstruct, sample_counts
@@ -69,6 +72,8 @@ class EveConfig:
     def __post_init__(self) -> None:
         if self.siphon_stage1 < 0 or self.siphon_stage2 < 0:
             raise ValueError("siphon counts must be non-negative")
+        check_count(self.siphon_stage1, "siphon counts must be integers")
+        check_count(self.siphon_stage2, "siphon counts must be integers")
         if not self.enabled and (self.siphon_stage1 or self.siphon_stage2):
             raise ValueError("a disabled Eve siphons nothing; set enabled=True to siphon")
         object.__setattr__(self, "injection_angle_deg", normalize_angle(self.injection_angle_deg))
@@ -90,6 +95,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n_photons < 1:
             raise ValueError("n_photons must be positive")
+        check_count(self.n_photons, "n_photons must be an integer")
         if self.bob_bit not in (0, 1):
             raise ValueError("bob_bit must be 0 or 1")
         if self.mode not in ("exact", "sampled"):
@@ -265,7 +271,7 @@ def _outcome(
     t, u = math.radians(2.0 * theta), math.radians(2.0 * normalize_angle(theta + 90.0))
     h1, h3 = math.sin(t), math.cos(t)
     g1, g3 = math.sin(u), math.cos(u)
-    purity_received = 0.5 * (1.0 + s1 * s1 + s2 * s2 + s3 * s3)
+    purity_received = stokes_purity(s)
     dist_h0 = math.sqrt((s1 - h1) ** 2 + s2 * s2 + (s3 - h3) ** 2) / math.sqrt(2.0)
     dist_h90 = math.sqrt((s1 - g1) ** 2 + s2 * s2 + (s3 - g3) ** 2) / math.sqrt(2.0)
     if decision is None:
@@ -345,16 +351,9 @@ def _born_probabilities(
     populations: Sequence[Tuple[int, float]], n: int
 ) -> Tuple[float, float, float]:
     """Born probabilities (p_h, p_d, p_r) of a mixture of linear
-    populations totalling n photons. The sums run in population order,
-    skipping empty ones, as ensemble_density and born_probabilities sum the
-    matrix entries, so the probabilities are the same floats."""
-    m00 = m01 = 0.0
-    for count, angle in populations:
-        if count:
-            a0, a1 = pure_state(angle)
-            weight = count / n
-            m00 += weight * (a0 * a0)
-            m01 += weight * (a0 * a1)
+    populations totalling n photons, read as born_probabilities reads them
+    off the matrix of ensemble_density, from the same mixture entries."""
+    m00, m01, _ = mixture_entries(populations, n)
     return clamp_probability(m00), clamp_probability(0.5 * (1.0 + 2.0 * m01)), 0.5
 
 

@@ -16,8 +16,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .polarization import (
+    INT64_MAX,
     DensityMatrix,
     bloch_summary,
+    check_count,
     density_of_pure,
     linear_stokes,
     normalize_angle,
@@ -59,6 +61,12 @@ class SweepSpec:
         object.__setattr__(self, "siphon_totals", tuple(int(t) for t in self.siphon_totals))
         if self.n_photons < 1:
             raise ValueError("n_photons must be positive")
+        check_count(self.n_photons, "n_photons must be an integer")
+        if self.n_photons > INT64_MAX:
+            raise ValueError(
+                "sweeps count photons as numpy int64, so n_photons must be "
+                f"at most {INT64_MAX}, got {self.n_photons}"
+            )
         for t in self.siphon_totals:
             if t < 0 or t % 2 != 0:
                 raise ValueError(f"siphon totals must be non-negative even integers, got {t}")

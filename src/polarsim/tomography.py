@@ -18,9 +18,11 @@ from typing import Tuple
 import numpy as np
 
 from .polarization import (
+    INT64_MAX,
     PSD_TOL,
     DensityMatrix,
     StokesVector,
+    check_count,
     stokes_from_density,
     stokes_matrix,
 )
@@ -39,6 +41,12 @@ class TomographyConfig:
     def __post_init__(self) -> None:
         if self.photons_per_basis < 1:
             raise ValueError("photons_per_basis must be >= 1")
+        check_count(self.photons_per_basis, "photons_per_basis must be an integer")
+        if self.photons_per_basis > INT64_MAX:
+            raise ValueError(
+                "tomography draws its counts as numpy int64, so photons_per_basis must be "
+                f"at most {INT64_MAX}, got {self.photons_per_basis}"
+            )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import random
 
+import numpy as np
 import pytest
 
 import polarsim as ps
@@ -343,6 +344,17 @@ class TestTomographyCommand:
         assert code == 0
         assert "n_h=10 n_v=0" in out
 
+    def test_estimate_rounding_to_zero_prints_no_sign(self, capsys):
+        # above about 2e6 photons per basis an s2 estimate can round to zero
+        # from below
+        code, out, _ = run_cli(
+            capsys, "tomography", "--theta", "45", "--photons-per-basis", "5000000",
+            "--seed", "1610",
+        )
+        assert code == 0
+        assert kv(out)["stokes_estimate"] == "(1.000000, 1.000000, 0.000000, 0.000280)"
+        assert "-0.000000" not in out
+
     def test_bad_mixture_syntax_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tomography", "--mix", "80@30,oops"])
@@ -387,6 +399,45 @@ class TestTomographyCommand:
         assert lines[0] == "n_h,n_v,n_d,n_a,n_r,n_l"
         assert lines[1].split(",")[0] == "10"
         assert (tmp_path / "counts.csv.manifest").exists()
+
+    def test_mixture_manifest_records_the_mix(self, capsys, tmp_path):
+        out_file = tmp_path / "counts.csv"
+        code, _, _ = run_cli(
+            capsys, "tomography", "--mix", "80@30,20@45", "--out", str(out_file),
+        )
+        assert code == 0
+        manifest = (tmp_path / "counts.csv.manifest").read_text().splitlines()
+        assert "mix=80@30.0,20@45.0" in manifest
+        assert "theta_deg=" in manifest
+
+
+def test_non_number_angle_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["protocol", "--theta", "abc", "--bit", "0", "--photons", "10"])
+    assert exc.value.code == 2
+    assert "argument --theta: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--theta", "0", "--bit", "0", "--photons", "10", "--mode", "sampled",
+     "--photons-per-basis", HUGE, "--out", "OUT/row.csv"],
+    ["tomography", "--theta", "0", "--photons-per-basis", HUGE, "--out", "OUT/counts.csv"],
+    ["sweep", "--theta", "0", "--phi", "10", "--totals", "0,2", "--photons", HUGE,
+     "--out", "OUT/o"],
+], ids=["protocol-photons-per-basis", "tomography-photons-per-basis", "sweep-photons"])
+def test_count_beyond_numpy_int64_is_domain_error(capsys, tmp_path, argv):
+    # numpy's binomial draw and the sweeps' int64 arithmetic would raise
+    # OverflowError on such a count
+    argv = [arg.replace("OUT", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert f"at most {np.iinfo(np.int64).max}, got {HUGE}" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,31 @@ class TestProtocolConfig:
     def test_invalid_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             config(**{field: value})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: config(n=100.5), "n_photons must be an integer, got 100.5"),
+    (lambda: config(n=100.5, mode="sampled"), "n_photons must be an integer, got 100.5"),
+    (lambda: config(n=True), "n_photons must be an integer, got True"),
+    (lambda: ps.EveConfig(1.5, 0, 45.0, enabled=True), "siphon counts must be integers, got 1.5"),
+    (lambda: ps.EveConfig(0, 2.5, 45.0, enabled=True), "siphon counts must be integers, got 2.5"),
+    (lambda: ps.EveConfig(0, True, 45.0, enabled=True), "siphon counts must be integers, got True"),
+    (lambda: ps.TomographyConfig(photons_per_basis=10.5),
+     "photons_per_basis must be an integer, got 10.5"),
+    (lambda: ps.SweepSpec(30.0, 45.0, n_photons=100.5), "n_photons must be an integer, got 100.5"),
+], ids=["n_photons-exact", "n_photons-sampled", "n_photons-bool", "siphon1", "siphon2",
+        "siphon2-bool", "photons_per_basis", "sweep-n_photons"])
+def test_photon_counts_must_be_integers(build, message):
+    # refused when the config is built, before either mode runs it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_numpy_integer_counts_accepted():
+    n, siphon = np.int64(100), np.int64(10)
+    eve = ps.EveConfig(siphon, siphon, 45.0, enabled=True)
+    outcome = ps.run_protocol(config(n=n, eve=eve, mode="sampled", ppb=np.int64(1000)))
+    assert outcome.stage_intensities == (100, 100, 100)
 
 
 class TestRunProtocolExact:

@@ -29,6 +29,13 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="n_photons must be positive"):
             ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=0)
 
+    def test_photon_budget_fits_numpy_int64(self):
+        limit = int(np.iinfo(np.int64).max)
+        spec = ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=limit, siphon_totals=(0, 2))
+        assert [r.siphon_total for r in ps.sweep_siphon(spec)] == [0, 2]
+        with pytest.raises(ValueError, match=f"n_photons must be at most {limit}, got"):
+            ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=limit + 1)
+
 
 def _mixture(f):
     return ps.mixture_density(30.0, 60.0, f)

@@ -69,6 +69,14 @@ def test_photons_per_basis_must_be_positive():
         ps.TomographyConfig(photons_per_basis=0)
 
 
+def test_photons_per_basis_fits_numpy_int64():
+    limit = np.iinfo(np.int64).max
+    counts = ps.simulate_counts(MIX, ps.TomographyConfig(photons_per_basis=int(limit)))
+    assert counts.n_h + counts.n_v == limit
+    with pytest.raises(ValueError, match=f"photons_per_basis must be at most {limit}, got"):
+        ps.TomographyConfig(photons_per_basis=int(limit) + 1)
+
+
 class TestStokesEstimate:
     def test_direct_frequencies(self):
         s = ps.stokes_estimate(ps.MeasurementCounts(75, 25, 93, 7, 50, 50))
