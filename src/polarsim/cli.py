@@ -103,7 +103,7 @@ def _parse_angle(text: str) -> float:
 
 def _parse_totals(text: str) -> Tuple[int, ...]:
     try:
-        return tuple(int(t) for t in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad totals list {text!r}") from None
 
@@ -235,7 +235,7 @@ def _write_sweep_meta(path: Path, spec: SweepSpec) -> None:
         f"phi_deg={spec.phi_deg}",
         f"bob_bit={spec.bob_bit}",
         f"n_photons={spec.n_photons}",
-        "siphon_totals=" + ",".join(str(t) for t in spec.siphon_totals),
+        "siphon_totals=" + ",".join(map(str, spec.siphon_totals)),
         "siphon_split=even-across-two-stages",
         f"mode={spec.mode}",
         f"seed={spec.seed}",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class SweepSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta_deg", normalize_angle(self.theta_deg))
         object.__setattr__(self, "phi_deg", normalize_angle(self.phi_deg))
-        object.__setattr__(self, "siphon_totals", tuple(int(t) for t in self.siphon_totals))
         if self.n_photons < 1:
             raise ValueError("n_photons must be positive")
         check_count(self.n_photons, "n_photons must be an integer")
@@ -67,17 +66,23 @@ class SweepSpec:
                 "sweeps count photons as numpy int64, so n_photons must be "
                 f"at most {INT64_MAX}, got {self.n_photons}"
             )
+        # one pass; a bad total is reported before the order of the totals
+        previous, increasing = -1, True
         for t in self.siphon_totals:
+            check_count(t, "siphon totals must be integers")
             if t < 0 or t % 2 != 0:
                 raise ValueError(f"siphon totals must be non-negative even integers, got {t}")
             if t > self.n_photons:
                 raise ValueError(f"siphon total {t} exceeds n_photons {self.n_photons}")
-        if any(b >= a for a, b in zip(self.siphon_totals[1:], self.siphon_totals)):
+            if t <= previous:
+                increasing = False
+            previous = t
+        if not increasing:
             raise ValueError("siphon totals must be strictly increasing")
+        object.__setattr__(self, "siphon_totals", tuple(map(int, self.siphon_totals)))
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     siphon_total: int
     lambda_max: float
     peak_angle_deg: Optional[float]
@@ -133,16 +138,11 @@ def _exact_records(siphon_totals: Iterable[int], s1, s3, theta_deg: float) -> Li
         np.hypot(s1 - g1, s3 - g3) / math.sqrt(2.0),
         EXACT_EPS_DISTANCE, EXACT_EPS_PURITY,
     )
-    return [
-        SweepRecord(total, lambda_max, None if math.isnan(angle) else angle, purity, detected)
-        for total, lambda_max, angle, purity, detected in zip(
-            siphon_totals,
-            summary.lambda_max.tolist(),
-            summary.principal_angle_deg.tolist(),
-            summary.purity.tolist(),
-            (codes == EVE_CODE).tolist(),
-        )
-    ]
+    angles = [None if math.isnan(a) else a for a in summary.principal_angle_deg.tolist()]
+    return list(map(
+        SweepRecord, siphon_totals, summary.lambda_max.tolist(), angles,
+        summary.purity.tolist(), (codes == EVE_CODE).tolist(),
+    ))
 
 
 def sweep_siphon(spec: SweepSpec) -> List[SweepRecord]:
@@ -223,21 +223,20 @@ def _write_lines(lines: List[str], path) -> None:
 def write_csv(records: Iterable[SweepRecord], path) -> None:
     """Write a siphon-sweep CSV; byte-identical across runs for exact mode."""
     lines = [SWEEP_CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.siphon_total},{r.lambda_max:.6f},{_fmt_angle(r.peak_angle_deg)},"
-            f"{r.purity:.6f},{'true' if r.detected else 'false'}"
-        )
+    lines += [
+        f"{total},{lambda_max:.6f},{_fmt_angle(angle)},{purity:.6f},"
+        f"{'true' if detected else 'false'}"
+        for total, lambda_max, angle, purity, detected in records
+    ]
     _write_lines(lines, path)
 
 
 def write_delta_family_csv(table: Dict[Tuple[float, float], SweepRecord], path) -> None:
     lines = [DELTA_FAMILY_CSV_HEADER]
-    for (delta, fraction) in sorted(table):
-        r = table[(delta, fraction)]
-        lines.append(
-            f"{delta:.6f},{fraction:.6f},{r.lambda_max:.6f},{_fmt_angle(r.peak_angle_deg)}"
-        )
+    lines += [
+        f"{delta:.6f},{fraction:.6f},{r.lambda_max:.6f},{_fmt_angle(r.peak_angle_deg)}"
+        for (delta, fraction), r in sorted(table.items())
+    ]
     _write_lines(lines, path)
 
 

@@ -47,6 +47,9 @@ class TomographyConfig:
                 "tomography draws its counts as numpy int64, so photons_per_basis must be "
                 f"at most {INT64_MAX}, got {self.photons_per_basis}"
             )
+        check_count(self.seed, "seed must be an integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,31 @@ PRESET_CSV_SHA256 = {
 }
 DELTA_FAMILY_CSV_SHA256 = "300b34157bc815705f84cfeb60fa29596255dc844bfbea33e93f388e8897d6ab"
 
+# sha256 of the `polarsim sweep` CSVs of bulk_sweep_argv(), recorded before
+# exact sweep rows became tuples: four preset (theta, phi) pairs, 1,000 totals
+# each at 10,000 photons. The full budget is among them; at bit 1 it leaves
+# the received state maximally mixed, a row with an empty peak angle.
+BULK_SWEEP_CSV_SHA256 = {
+    (22.5, 30.0, 0): "8d2ae9249ca93e05619adf7932861b4bb98c329dc20278d7aca383e3e042c4c1",
+    (22.5, 30.0, 1): "6f37d797c7944c5a264ac4ef94be42028a159df38494653fd1fe28d17f025392",
+    (45.0, 60.0, 0): "3458717350513709673fc8177b348b9df15ec2bc7a16b615a259db33ad928d85",
+    (45.0, 60.0, 1): "6dadacfa788faeab4044dd927d3e48e8949e0825317fc9866fa6509de63c4b14",
+    (30.0, 60.0, 0): "fffbbbf0c49d2b36f3b1879ecc68342e00cd3421ff9e66ccdaa29aabaad34915",
+    (30.0, 60.0, 1): "4d77fefe4bb0ed50e3bc5bc1a9e801426a8ad8a1f2aa429bf3047f6e0d613bcf",
+    (30.0, 90.0, 0): "81d46b0839bf5302d47ae15f033cd4fe980633232cc2ceba1bd8ca3a711a62d4",
+    (30.0, 90.0, 1): "8598e707a1cefbe4a922d72f785214d677975bf91d7457eaf8635f45851cf997",
+}
+
+# sha256 of sampled-mode preset CSVs, recorded with the bulk sweep digests
+SAMPLED_SWEEP_CSV_SHA256 = {
+    ("fig4", 0): "86633d6a5ea572f6d7653e63715c5b8f2782eada78c50785ac747603959c03ea",
+    ("fig4", 1): "c5d1ed8292a4e063ea269be4ae2dd62f601fbb503eb1843e2f82f4999cb444e4",
+    ("fig4", 2): "7ae026c3471e3f172921ea7a48e0c521c5fe15ff359f3f086c1eb9ad03cf74f5",
+    ("fig8", 0): "cec974b727776028f20f28e5bd83d77efd960ba35c7b27058973c01937b45dff",
+    ("fig8", 1): "a071652248e53e45f8232e3dc02bdc9bed2b358c48fbaa55b467161fce7ee8d9",
+    ("fig8", 2): "db7368f36660b3830fea4c188c3bca1435260ce67112088ee5b8c58100f0d83a",
+}
+
 # sha256 of the stdout of exact_protocol_argvs(), recorded from the
 # numpy-scalar 2x2 matrix helpers before they moved to Python numbers
 EXACT_PROTOCOL_SHA256 = "290828f1e03715a35f7e3f94e117c34af46bdb4e964698ed7d8ccb3444ff3e59"
@@ -89,6 +114,16 @@ def exact_protocol_argvs():
             "--mode", "exact",
         ])
     return argvs
+
+
+def bulk_sweep_argv(theta, phi, bit, out):
+    """A custom exact sweep over 0, the full budget of 10,000 photons and 998
+    seeded even totals between them."""
+    rng = random.Random(f"bulk-sweep-golden:{theta}:{phi}:{bit}")
+    totals = [0] + sorted(rng.sample(range(2, 10_000, 2), 998)) + [10_000]
+    return ["sweep", "--theta", str(theta), "--phi", str(phi), "--bit", str(bit),
+            "--photons", "10000", "--totals", ",".join(map(str, totals)), "--mode", "exact",
+            "--out", str(out)]
 
 
 def test_exact_protocol_output_golden():
@@ -245,6 +280,25 @@ class TestSweepCommand:
         assert code == 0
         digest = hashlib.sha256((tmp_path / f"{preset}.csv").read_bytes()).hexdigest()
         assert digest == PRESET_CSV_SHA256[(preset, bit)]
+
+    @pytest.mark.parametrize("theta, phi, bit", sorted(BULK_SWEEP_CSV_SHA256))
+    def test_bulk_sweep_csv_golden_bytes(self, capsys, tmp_path, theta, phi, bit):
+        code, _, _ = run_cli(capsys, *bulk_sweep_argv(theta, phi, bit, tmp_path))
+        assert code == 0
+        csv = (tmp_path / "custom.csv").read_text()
+        assert len(csv.splitlines()) == 1001
+        assert (",," in csv) is (bit == 1)
+        assert hashlib.sha256(csv.encode()).hexdigest() == BULK_SWEEP_CSV_SHA256[(theta, phi, bit)]
+
+    @pytest.mark.parametrize("preset, seed", sorted(SAMPLED_SWEEP_CSV_SHA256))
+    def test_sampled_sweep_csv_golden_bytes(self, capsys, tmp_path, preset, seed):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--preset", preset, "--mode", "sampled", "--seed", str(seed),
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / f"{preset}.csv").read_bytes()).hexdigest()
+        assert digest == SAMPLED_SWEEP_CSV_SHA256[(preset, seed)]
 
     @pytest.mark.parametrize("preset", ["delta-family", "fig12", "fig13"])
     def test_delta_family_csv_golden_bytes(self, capsys, tmp_path, preset):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -28,6 +30,24 @@ class TestSweepSpec:
     def test_non_positive_photon_budget_rejected(self):
         with pytest.raises(ValueError, match="n_photons must be positive"):
             ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=0)
+
+    @pytest.mark.parametrize("total", [2.5, 4.0, True, False, "2"])
+    def test_non_integer_totals_rejected(self, total):
+        # int() would truncate a float total and count a bool as 0 or 1
+        with pytest.raises(ValueError, match="siphon totals must be integers, got"):
+            ps.SweepSpec(theta_deg=30, phi_deg=45, siphon_totals=(0, total))
+
+    def test_numpy_integer_totals_stored_as_int(self):
+        spec = ps.SweepSpec(theta_deg=30, phi_deg=45, siphon_totals=np.arange(0, 6, 2))
+        assert spec.siphon_totals == (0, 2, 4)
+        assert all(type(t) is int for t in spec.siphon_totals)
+        assert [r.siphon_total for r in ps.sweep_siphon(spec)] == [0, 2, 4]
+
+    def test_a_bad_total_is_reported_before_the_order(self):
+        with pytest.raises(ValueError, match="even integers, got 5"):
+            ps.SweepSpec(theta_deg=30, phi_deg=45, siphon_totals=(4, 2, 5))
+        with pytest.raises(ValueError, match="siphon total 12 exceeds"):
+            ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=10, siphon_totals=(4, 2, 12))
 
     def test_photon_budget_fits_numpy_int64(self):
         limit = int(np.iinfo(np.int64).max)
@@ -173,6 +193,34 @@ class TestPeakAngleDrift:
         assert angles[0] == pytest.approx(spec.theta_deg, abs=1e-9)
         assert all(lo - 1e-9 <= a <= hi + 1e-9 for a in angles)
         assert all(b >= a - 1e-9 for a, b in zip(angles, angles[1:]))
+
+
+def test_record_is_a_tuple_in_field_order():
+    record = ps.SweepRecord(siphon_total=20, lambda_max=0.9, peak_angle_deg=None,
+                            purity=0.8, detected=True)
+    total, lambda_max, angle, purity, detected = record
+    assert (total, lambda_max, angle, purity, detected) == (20, 0.9, None, 0.8, True)
+    assert record == ps.SweepRecord(20, 0.9, None, 0.8, True)
+    [swept] = ps.sweep_siphon(ps.SweepSpec(theta_deg=30, phi_deg=45, siphon_totals=(20,)))
+    assert swept == (swept.siphon_total, swept.lambda_max, swept.peak_angle_deg,
+                     swept.purity, swept.detected)
+
+
+# sha256 of write_delta_family_csv over a seeded 40 x 51 grid, recorded
+# before exact sweep rows became tuples
+DELTA_GRID_CSV_SHA256 = "02b47959162bee5c395f3540e69ac772229b1534c230db0f18fa4216ffca6429"
+
+
+def test_delta_family_grid_csv_golden_bytes(tmp_path):
+    rng = random.Random("delta-grid-golden")
+    # the gaps in random order: the writer sorts the rows
+    deltas = rng.sample([0.5 * k for k in range(1, 181)], 40)
+    fractions = tuple(round(0.01 * k, 2) for k in range(51))
+    table = ps.sweep_delta_family(deltas, 0.5 * rng.randrange(360), fractions)
+    path = tmp_path / "grid.csv"
+    write_delta_family_csv(table, path)
+    assert len(path.read_text().splitlines()) == 1 + 40 * 51
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DELTA_GRID_CSV_SHA256
 
 
 class TestCsvOutput:

@@ -77,6 +77,26 @@ def test_photons_per_basis_fits_numpy_int64():
         ps.TomographyConfig(photons_per_basis=int(limit) + 1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "3", None])
+def test_seed_must_be_an_integer(seed):
+    # numpy's SeedSequence would raise a TypeError only at draw time
+    with pytest.raises(ValueError, match="seed must be an integer, got"):
+        ps.TomographyConfig(seed=seed)
+
+
+def test_seed_must_be_non_negative():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        ps.TomographyConfig(seed=-1)
+
+
+def test_numpy_and_large_seeds_are_accepted():
+    for seed in (np.int64(7), np.uint32(7), 7):
+        counts = ps.simulate_counts(MIX, ps.TomographyConfig(photons_per_basis=100, seed=seed))
+        assert counts == ps.simulate_counts(MIX, ps.TomographyConfig(100, seed=7))
+    # SeedSequence takes entropy of any size
+    ps.simulate_counts(MIX, ps.TomographyConfig(photons_per_basis=100, seed=2**100))
+
+
 class TestStokesEstimate:
     def test_direct_frequencies(self):
         s = ps.stokes_estimate(ps.MeasurementCounts(75, 25, 93, 7, 50, 50))
