@@ -110,7 +110,8 @@ def _parse_totals(text: str) -> Tuple[int, ...]:
 
 # defaults of the flags that some path ignores: they parse to None, so that
 # an explicit value can be refused there, and are filled in after that check
-DEFAULTS = {"bit": 0, "photons": 100, "seed": 0, "photons_per_basis": 100_000}
+DEFAULTS = {"bit": SweepSpec.bob_bit, "photons": SweepSpec.n_photons,
+            "seed": TomographyConfig.seed, "photons_per_basis": TomographyConfig.photons_per_basis}
 
 
 def _refuse(args: argparse.Namespace, path: str, flags: Sequence[str]) -> bool:
@@ -239,8 +240,10 @@ def _write_sweep_meta(path: Path, spec: SweepSpec) -> None:
         "siphon_split=even-across-two-stages",
         f"mode={spec.mode}",
         f"seed={spec.seed}",
-        f"rng_algorithm={RNG_ALGORITHM}",
     ]
+    if spec.mode == "sampled":
+        lines.append(f"photons_per_basis={spec.config.tomography.photons_per_basis}")
+    lines.append(f"rng_algorithm={RNG_ALGORITHM}")
     path.write_text("\n".join(lines) + "\n")
 
 

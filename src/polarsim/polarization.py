@@ -21,6 +21,9 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
+# the largest Stokes norm |r| DensityMatrix accepts: (1 - |r|)/2 >= -PSD_TOL
+MAX_STOKES_NORM = 1.0 + 2.0 * PSD_TOL
+
 # the largest photon count numpy's int64 draws and arrays hold
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -216,9 +219,9 @@ def density_from_stokes(s: StokesVector) -> DensityMatrix:
 
     Rejects Stokes vectors outside the Poincare unit ball (non-physical).
     """
-    r2 = s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3
-    if r2 > 1.0 + PSD_TOL:
-        raise ValueError(f"Stokes vector outside the Poincare sphere: |s|^2 = {r2}")
+    norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
+    if norm > MAX_STOKES_NORM:
+        raise ValueError(f"Stokes vector outside the Poincare sphere: |s| = {norm}")
     return DensityMatrix(stokes_matrix(s))
 
 

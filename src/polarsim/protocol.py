@@ -62,6 +62,12 @@ EXACT_EPS_PURITY = 1e-6
 MAX_SAMPLED_PHOTONS = 10**9
 
 
+def _siphon_error(siphon, available) -> ValueError:
+    return ValueError(
+        f"siphon count {siphon} exceeds the {available} untouched photons available at this stage"
+    )
+
+
 @dataclass(frozen=True)
 class EveConfig:
     siphon_stage1: int = 0
@@ -101,6 +107,21 @@ class ProtocolConfig:
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         object.__setattr__(self, "alice_angle_deg", normalize_angle(self.alice_angle_deg))
+        # exact-mode Eve siphons only Alice's untouched photons, sampled-mode
+        # Eve draws from the whole beam (see _received_populations)
+        n, siphon1, siphon2 = self.n_photons, self.eve.siphon_stage1, self.eve.siphon_stage2
+        if self.mode == "exact":
+            if siphon1 > n:
+                raise _siphon_error(siphon1, n)
+            if siphon2 > n - siphon1:
+                raise _siphon_error(siphon2, n - siphon1)
+        elif siphon1 > n or siphon2 > n:
+            raise ValueError("siphon count exceeds photons present at this stage")
+        elif (siphon1 or siphon2) and n >= MAX_SAMPLED_PHOTONS:
+            raise ValueError(
+                f"sampled mode draws Eve's siphon from fewer than {MAX_SAMPLED_PHOTONS} photons, "
+                f"got n_photons={n}"
+            )
 
     def resolved_thresholds(self) -> Tuple[float, float]:
         """(epsilon_distance, epsilon_purity) for this mode.
@@ -157,12 +178,6 @@ class ProtocolOutcome:
     def to_csv_row(self) -> str:
         fields = dict(line.split("=", 1) for line in self._report_lines())
         return ",".join([fields[column] for column in _CSV_COLUMNS])
-
-
-def _siphon_error(siphon, available) -> ValueError:
-    return ValueError(
-        f"siphon count {siphon} exceeds the {available} untouched photons available at this stage"
-    )
 
 
 def _check_siphon(siphon, available) -> None:
@@ -295,17 +310,10 @@ def _run_exact(config: ProtocolConfig) -> ProtocolOutcome:
     explicit received populations, and Alice decides on it with the public
     rule."""
     eve = config.eve
-    n = config.n_photons
     theta = config.alice_angle_deg
-    siphon1, siphon2 = eve.siphon_stage1, eve.siphon_stage2
-    # on two ints, plain comparisons cost a fraction of _check_siphon's
-    # numpy reductions
-    if siphon1 > n:
-        raise _siphon_error(siphon1, n)
-    if siphon2 > n - siphon1:
-        raise _siphon_error(siphon2, n - siphon1)
     populations = _received_populations(
-        n, theta, config.bob_bit, siphon1, siphon2, eve.injection_angle_deg, siphon2
+        config.n_photons, theta, config.bob_bit, eve.siphon_stage1, eve.siphon_stage2,
+        eve.injection_angle_deg, eve.siphon_stage2,
     )
     # ensemble_density skips the empty populations
     rho_received = ensemble_density(PhotonEnsemble(populations))
@@ -316,35 +324,6 @@ def _run_exact(config: ProtocolConfig) -> ProtocolOutcome:
         *config.resolved_thresholds(),
     )
     return _outcome(config, rho_received, decision)
-
-
-def _sampled_populations(config: ProtocolConfig, rng: np.random.Generator):
-    """(count, angle) of the populations Alice receives in sampled mode
-    (see _received_populations), with Eve's siphons drawn uniformly without
-    replacement from everything in the beam.
-
-    At stage 1 the beam holds only Alice's photons, so Eve takes exactly
-    siphon1 of them and nothing is drawn. At stage 2 the number of Alice's
-    photons among her siphon2 is hypergeometric over Alice's n - siphon1 and
-    Eve's siphon1; numpy's multivariate_hypergeometric over the two
-    populations consumes the same generator bits for the same variate.
-    """
-    n = config.n_photons
-    eve = config.eve
-    siphon1, siphon2 = eve.siphon_stage1, eve.siphon_stage2
-    if siphon1 > n or siphon2 > n:
-        raise ValueError("siphon count exceeds photons present at this stage")
-    if (siphon1 or siphon2) and n >= MAX_SAMPLED_PHOTONS:
-        raise ValueError(
-            f"sampled mode draws Eve's siphon from fewer than {MAX_SAMPLED_PHOTONS} photons, "
-            f"got n_photons={n}"
-        )
-    taken2 = siphon2
-    if siphon1 and siphon2:
-        taken2 = int(rng.hypergeometric(n - siphon1, siphon1, siphon2))
-    return _received_populations(
-        n, config.alice_angle_deg, config.bob_bit, siphon1, siphon2, eve.injection_angle_deg, taken2
-    )
 
 
 def _born_probabilities(
@@ -360,10 +339,26 @@ def _born_probabilities(
 def _run_sampled(config: ProtocolConfig) -> ProtocolOutcome:
     """Sampled mode on integer populations: Eve's random siphon, binomial
     tomography of the received mixture, and Alice's checks in closed form on
-    the reconstructed Stokes vector."""
+    the reconstructed Stokes vector.
+
+    Eve's siphons are drawn uniformly without replacement from everything in
+    the beam (see _received_populations). At stage 1 the beam holds only
+    Alice's photons, so Eve takes exactly siphon1 of them and nothing is
+    drawn. At stage 2 the number of Alice's photons among her siphon2 is
+    hypergeometric over Alice's n - siphon1 and Eve's siphon1; numpy's
+    multivariate_hypergeometric over the two populations consumes the same
+    generator bits for the same variate.
+    """
     rng = np.random.default_rng(config.tomography.seed)
-    n = config.n_photons
-    probabilities = _born_probabilities(_sampled_populations(config, rng), n)
+    n, eve = config.n_photons, config.eve
+    siphon1, siphon2 = eve.siphon_stage1, eve.siphon_stage2
+    taken2 = siphon2
+    if siphon1 and siphon2:
+        taken2 = int(rng.hypergeometric(n - siphon1, siphon1, siphon2))
+    populations = _received_populations(
+        n, config.alice_angle_deg, config.bob_bit, siphon1, siphon2, eve.injection_angle_deg, taken2
+    )
+    probabilities = _born_probabilities(populations, n)
     counts = sample_counts(probabilities, config.tomography.photons_per_basis, rng)
     return _outcome(config, reconstruct(counts))
 

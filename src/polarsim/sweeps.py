@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +47,8 @@ DEFAULT_FRACTIONS = tuple(round(0.05 * i, 2) for i in range(11))  # 0.0 .. 0.5
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A base transmission, `config`, run once per siphon total."""
+
     theta_deg: float
     phi_deg: float
     bob_bit: int = 0
@@ -54,13 +56,16 @@ class SweepSpec:
     siphon_totals: Tuple[int, ...] = ()
     mode: str = "exact"
     seed: int = 0
+    config: ProtocolConfig = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_deg", normalize_angle(self.theta_deg))
-        object.__setattr__(self, "phi_deg", normalize_angle(self.phi_deg))
-        if self.n_photons < 1:
-            raise ValueError("n_photons must be positive")
-        check_count(self.n_photons, "n_photons must be an integer")
+        config = ProtocolConfig(
+            self.n_photons, self.theta_deg, self.bob_bit, EveConfig(0, 0, self.phi_deg),
+            self.mode, TomographyConfig(seed=self.seed),
+        )
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "theta_deg", config.alice_angle_deg)
+        object.__setattr__(self, "phi_deg", config.eve.injection_angle_deg)
         if self.n_photons > INT64_MAX:
             raise ValueError(
                 "sweeps count photons as numpy int64, so n_photons must be "
@@ -97,19 +102,12 @@ def _point_seed(base_seed: int, siphon_total: int) -> int:
 
 
 def _sampled_point(spec: SweepSpec, total: int) -> SweepRecord:
-    eve = EveConfig(
-        siphon_stage1=total // 2,
-        siphon_stage2=total // 2,
-        injection_angle_deg=spec.phi_deg,
-        enabled=total > 0,
-    )
-    config = ProtocolConfig(
-        n_photons=spec.n_photons,
-        alice_angle_deg=spec.theta_deg,
-        bob_bit=spec.bob_bit,
-        eve=eve,
-        mode=spec.mode,
-        tomography=TomographyConfig(seed=_point_seed(spec.seed, total)),
+    base = spec.config
+    half = total // 2
+    config = replace(
+        base,
+        eve=replace(base.eve, siphon_stage1=half, siphon_stage2=half, enabled=total > 0),
+        tomography=replace(base.tomography, seed=_point_seed(spec.seed, total)),
     )
     outcome = run_protocol(config)
     return SweepRecord(

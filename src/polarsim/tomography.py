@@ -19,7 +19,7 @@ import numpy as np
 
 from .polarization import (
     INT64_MAX,
-    PSD_TOL,
+    MAX_STOKES_NORM,
     DensityMatrix,
     StokesVector,
     check_count,
@@ -128,12 +128,12 @@ def reconstruct_from_stokes(s: StokesVector) -> DensityMatrix:
     """Physical density matrix from a (possibly non-physical) Stokes estimate.
 
     The linear inversion has eigenvalues (1 +- |r|)/2. It is kept while the
-    smaller one is at least -PSD_TOL, i.e. |r| <= 1 + 2 PSD_TOL; beyond that,
-    clipping it to zero and renormalizing the trace leaves the pure state
-    r/|r|.
+    smaller one is at least -PSD_TOL, i.e. |r| <= MAX_STOKES_NORM, the bound
+    density_from_stokes accepts; beyond that, clipping it to zero and
+    renormalizing the trace leaves the pure state r/|r|.
     """
     norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
-    if norm > 1.0 + 2.0 * PSD_TOL:
+    if norm > MAX_STOKES_NORM:
         s = StokesVector(1.0, s.s1 / norm, s.s2 / norm, s.s3 / norm)
     return DensityMatrix(stokes_matrix(s))
 

@@ -359,6 +359,24 @@ class TestSweepCommand:
         assert "seed=3" in (tmp_path / "fig4.meta.txt").read_text().splitlines()
         assert "seed=3" in (tmp_path / "manifest.txt").read_text().splitlines()
 
+    def test_exact_meta_bytes(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "sweep", "--preset", "fig4", "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "fig4.meta.txt").read_text() == (
+            "theta_deg=22.5\nphi_deg=30.0\nbob_bit=0\nn_photons=100\n"
+            "siphon_totals=0,10,20,30,40,50\nsiphon_split=even-across-two-stages\n"
+            "mode=exact\nseed=0\nrng_algorithm=numpy-pcg64\n"
+        )
+
+    def test_sampled_meta_records_photons_per_basis(self, capsys, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--theta", "30", "--phi", "45", "--totals", "0,20",
+            "--mode", "sampled", "--out", str(tmp_path),
+        )
+        assert code == 0
+        lines = (tmp_path / "custom.meta.txt").read_text().splitlines()
+        assert lines[-3:] == ["seed=0", "photons_per_basis=100000", "rng_algorithm=numpy-pcg64"]
+
     def test_reproducible_output(self, capsys, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         run_cli(capsys, "sweep", "--preset", "fig4", "--mode", "exact", "--out", str(d1))

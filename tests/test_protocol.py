@@ -113,6 +113,45 @@ class TestProtocolConfig:
         with pytest.raises(ValueError, match=message):
             config(**{field: value})
 
+    @pytest.mark.parametrize("n, siphons, mode, message", [
+        (10, (11, 0), "exact",
+         "siphon count 11 exceeds the 10 untouched photons available at this stage"),
+        (10, (6, 5), "exact",
+         "siphon count 5 exceeds the 4 untouched photons available at this stage"),
+        (100, (0, 101), "sampled", "siphon count exceeds photons present at this stage"),
+        (protocol.MAX_SAMPLED_PHOTONS, (1, 0), "sampled",
+         "sampled mode draws Eve's siphon from fewer than 1000000000 photons, "
+         "got n_photons=1000000000"),
+    ], ids=["exact-stage1", "exact-stage2", "sampled-beam", "sampled-limit"])
+    def test_siphon_excess_refused_when_built(self, n, siphons, mode, message):
+        eve = ps.EveConfig(*siphons, 45.0, enabled=True)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config(n=n, eve=eve, mode=mode)
+
+
+@st.composite
+def siphons_near_the_bounds(draw):
+    """(n, siphon1, siphon2, mode) with each count on or beside a bound:
+    zero, half the beam, what stage 1 left, the beam, or the sampled limit."""
+    limit = protocol.MAX_SAMPLED_PHOTONS
+    n = draw(st.sampled_from([1, 2, 10, 101, limit - 1, limit]))
+    near = st.integers(-2, 2)
+    s1 = max(0, draw(st.sampled_from([0, n // 2, n])) + draw(near))
+    s2 = max(0, draw(st.sampled_from([0, n // 2, n - s1, n])) + draw(near))
+    return n, s1, s2, draw(st.sampled_from(["exact", "sampled"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(siphons_near_the_bounds())
+def test_a_config_that_builds_runs(case):
+    n, s1, s2, mode = case
+    eve = ps.EveConfig(s1, s2, 45.0, enabled=True)
+    try:
+        built = config(n=n, eve=eve, mode=mode, ppb=1000)
+    except ValueError:
+        return
+    assert ps.run_protocol(built).stage_intensities == (n, n, n)
+
 
 @pytest.mark.parametrize("build, message", [
     (lambda: config(n=100.5), "n_photons must be an integer, got 100.5"),

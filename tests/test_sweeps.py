@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,18 @@ class TestSweepSpec:
             ps.SweepSpec(theta_deg=30, phi_deg=45, siphon_totals=(4, 2, 5))
         with pytest.raises(ValueError, match="siphon total 12 exceeds"):
             ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=10, siphon_totals=(4, 2, 12))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"bob_bit": 0.5}, "bob_bit must be 0 or 1"),
+        ({"bob_bit": 2}, "bob_bit must be 0 or 1"),
+        ({"mode": "foo"}, "mode must be 'exact' or 'sampled', got 'foo'"),
+        ({"mode": "sampled", "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"mode": "sampled", "seed": -1}, "seed must be non-negative, got -1"),
+    ], ids=["bit-half", "bit-2", "mode", "seed-float", "seed-negative"])
+    def test_transmission_checked_by_its_protocol_config(self, fields, message):
+        # the spec's base ProtocolConfig refuses what a run would misread
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ps.SweepSpec(theta_deg=30, phi_deg=45, siphon_totals=(0, 20), **fields)
 
     def test_photon_budget_fits_numpy_int64(self):
         limit = int(np.iinfo(np.int64).max)

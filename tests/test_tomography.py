@@ -150,6 +150,15 @@ class TestReconstruct:
             back = reconstruct_from_stokes(ps.stokes_from_density(m))
             assert np.allclose(m.matrix, back.matrix, atol=1e-12)
 
+    def test_kept_raw_estimate_converts_back(self):
+        # |r| - 1 = 1.0e-10 keeps the raw estimate, and density_from_stokes
+        # accepts the Stokes vector of what reconstruct returned
+        rho_hat = ps.reconstruct(ps.MeasurementCounts(530877, 469123, 999045, 955, 500836, 499164))
+        s = ps.stokes_from_density(rho_hat)
+        assert math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3) > 1.0
+        back = ps.density_from_stokes(s)
+        assert np.allclose(back.matrix, rho_hat.matrix, rtol=0, atol=1e-15)
+
     def test_adversarial_counts_stay_physical(self):
         adversarial = [
             ps.MeasurementCounts(1, 0, 1, 0, 1, 0),
