@@ -53,17 +53,17 @@ def _write_manifest(
     path: Path,
     subcommand: str,
     params: Dict[str, object],
-    seed: int,
     outputs: Sequence[Path],
     started: float,
 ) -> None:
+    """Write `params`, the flags the run read (key `theta_deg` is flag
+    `--theta`), with the run's provenance."""
     lines = [
         f"spec_revision={__version__}",
         f"subcommand={subcommand}",
     ]
     for key in sorted(params):
         lines.append(f"{key}={params[key]}")
-    lines.append(f"seed={seed}")
     lines.append(f"rng_algorithm={RNG_ALGORITHM}")
     for out in outputs:
         lines.append(f"output={out}")
@@ -150,10 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--eve-angle", type=_parse_angle, default=0.0, help="Eve's injection angle (deg)"
     )
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--seed", type=int, help="RNG seed, sampled mode (default 0)")
+    p.add_argument("--seed", type=int, help=f"RNG seed, sampled mode (default {DEFAULTS['seed']})")
     p.add_argument(
         "--photons-per-basis", type=int,
-        help="tomography sample size per basis, sampled mode (default 100000)",
+        help="tomography sample size per basis, sampled mode "
+        f"(default {DEFAULTS['photons_per_basis']})",
     )
     p.add_argument("--out", type=Path, default=None, help="write a CSV row and manifest here")
 
@@ -162,10 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=_parse_angle, help="Alice's angle for a custom sweep (deg)")
     s.add_argument("--phi", type=_parse_angle, help="Eve's angle for a custom sweep (deg)")
     s.add_argument("--totals", type=_parse_totals, help="comma-separated siphon totals")
-    s.add_argument("--bit", type=int, choices=(0, 1), help="Bob's bit (default 0)")
-    s.add_argument("--photons", type=int, help="photons Alice sends (default 100)")
+    s.add_argument(
+        "--bit", type=int, choices=(0, 1), help=f"Bob's bit (default {DEFAULTS['bit']})"
+    )
+    s.add_argument(
+        "--photons", type=int, help=f"photons Alice sends (default {DEFAULTS['photons']})"
+    )
     s.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    s.add_argument("--seed", type=int, help="RNG seed, sampled mode (default 0)")
+    s.add_argument("--seed", type=int, help=f"RNG seed, sampled mode (default {DEFAULTS['seed']})")
     s.add_argument("--out", type=Path, required=True, help="output directory")
 
     t = sub.add_parser("tomography", help="simulate tomography of a known ensemble")
@@ -184,7 +189,7 @@ def _write_out(
     """Write a one-row CSV to --out and its manifest beside it."""
     args.out.write_text(header + "\n" + row + "\n")
     manifest = args.out.with_suffix(args.out.suffix + ".manifest")
-    _write_manifest(manifest, args.subcommand, params, args.seed, [args.out], started)
+    _write_manifest(manifest, args.subcommand, params, [args.out], started)
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:
@@ -211,22 +216,18 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     outcome = run_protocol(config)
     print(outcome.to_key_value_block())
     if args.out is not None:
-        _write_out(
-            args,
-            PROTOCOL_CSV_HEADER,
-            outcome.to_csv_row(),
-            {
-                "theta_deg": args.theta,
-                "bit": args.bit,
-                "photons": args.photons,
-                "eve_siphon1": args.eve_siphon1,
-                "eve_siphon2": args.eve_siphon2,
-                "eve_angle_deg": args.eve_angle,
-                "mode": args.mode,
-                "photons_per_basis": args.photons_per_basis,
-            },
-            started,
-        )
+        params: Dict[str, object] = {
+            "theta_deg": args.theta,
+            "bit": args.bit,
+            "photons": args.photons,
+            "eve_siphon1": args.eve_siphon1,
+            "eve_siphon2": args.eve_siphon2,
+            "eve_angle_deg": args.eve_angle,
+            "mode": args.mode,
+        }
+        if args.mode == "sampled":
+            params.update(seed=args.seed, photons_per_basis=args.photons_per_basis)
+        _write_out(args, PROTOCOL_CSV_HEADER, outcome.to_csv_row(), params, started)
     return 0
 
 
@@ -279,9 +280,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         outputs = [csv_path]
         print(f"sweep delta-family: {len(table)} points -> {csv_path}")
     else:
+        params.update(bit=args.bit, photons=args.photons)
+        if args.mode == "sampled":
+            params["seed"] = args.seed
         if args.preset is None:
             name, theta, phi, totals = "custom", args.theta, args.phi, args.totals
-            params.update({"theta_deg": args.theta, "phi_deg": args.phi})
+            params.update(theta_deg=theta, phi_deg=phi, totals=",".join(map(str, totals)))
         else:
             base = PRESETS[args.preset]
             name, theta, phi, totals = args.preset, base.theta_deg, base.phi_deg, base.siphon_totals
@@ -298,7 +302,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep {name}: theta={spec.theta_deg} phi={spec.phi_deg}{points} -> {csv_path}")
 
     manifest = out_dir / "manifest.txt"
-    _write_manifest(manifest, "sweep", params, args.seed, outputs, started)
+    _write_manifest(manifest, "sweep", params, outputs, started)
     return 0
 
 
@@ -341,6 +345,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
                 ),
                 "theta_deg": "" if args.theta is None else args.theta,
                 "photons_per_basis": args.photons_per_basis,
+                "seed": args.seed,
             },
             started,
         )

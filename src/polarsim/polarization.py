@@ -317,15 +317,15 @@ def linear_stokes(angle_degrees):
 
 def bloch_summary(s1, s3) -> BlochSummary:
     """Spectrum of the states (s1, s3); rejects non-finite or non-physical
-    (outside the Poincare sphere) components."""
+    components (|s| beyond MAX_STOKES_NORM, outside the Poincare sphere)."""
     r2 = s1 * s1 + s3 * s3
     # ufuncs return numpy scalars or arrays, whose .all()/.any() cost less
     # than np.all/np.any on a batch of one
     if not np.isfinite(r2).all():
         raise ValueError("Stokes components must be finite")
-    if np.greater(r2, 1.0 + PSD_TOL).any():
-        raise ValueError(f"Stokes vector outside the Poincare sphere: |s|^2 = {np.max(r2)}")
     norm = np.hypot(s1, s3)
+    if np.greater(norm, MAX_STOKES_NORM).any():
+        raise ValueError(f"Stokes vector outside the Poincare sphere: |s| = {np.max(norm)}")
     # a tiny negative angle rounds up to 180 under the first %; the second
     # maps that to 0 and leaves every angle in [0, 180) unchanged
     angle = np.degrees(np.arctan2(s1, s3)) / 2.0 % 180.0 % 180.0

@@ -1,11 +1,12 @@
 """Ping-pong polarization protocol with intensity and state tracking.
 
 One transmission: Alice prepares n photons at angle theta and keeps two
-hypothesis densities (rotation by 0 deg or 90 deg). Eve may siphon photons at
-each channel stage and inject the same number at her own angle phi, which
-keeps the intensity constant. Bob encodes his bit by rotating everything 0 or
-90 deg. Alice then compares the received density matrix against both
-hypotheses and its purity to decode the bit or declare the eavesdropper.
+hypothesis densities (rotation by 0 deg or 90 deg). Eve may siphon Alice's
+photons at each channel stage and inject the same number at her own angle
+phi, which keeps the intensity constant. Bob encodes his bit by rotating
+everything 0 or 90 deg. Alice then compares the received density matrix
+against both hypotheses and its purity to decode the bit or declare the
+eavesdropper.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ EVE_CODE = DECISIONS.index(Decision.EVE_DETECTED)
 EXACT_EPS_DISTANCE = 1e-9
 EXACT_EPS_PURITY = 1e-6
 
-# numpy draws a hypergeometric variate only from populations below this size
-MAX_SAMPLED_PHOTONS = 10**9
-
 
 def _siphon_error(siphon, available) -> ValueError:
     return ValueError(
@@ -107,21 +105,12 @@ class ProtocolConfig:
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         object.__setattr__(self, "alice_angle_deg", normalize_angle(self.alice_angle_deg))
-        # exact-mode Eve siphons only Alice's untouched photons, sampled-mode
-        # Eve draws from the whole beam (see _received_populations)
+        # Eve siphons only Alice's untouched photons (see _received_populations)
         n, siphon1, siphon2 = self.n_photons, self.eve.siphon_stage1, self.eve.siphon_stage2
-        if self.mode == "exact":
-            if siphon1 > n:
-                raise _siphon_error(siphon1, n)
-            if siphon2 > n - siphon1:
-                raise _siphon_error(siphon2, n - siphon1)
-        elif siphon1 > n or siphon2 > n:
-            raise ValueError("siphon count exceeds photons present at this stage")
-        elif (siphon1 or siphon2) and n >= MAX_SAMPLED_PHOTONS:
-            raise ValueError(
-                f"sampled mode draws Eve's siphon from fewer than {MAX_SAMPLED_PHOTONS} photons, "
-                f"got n_photons={n}"
-            )
+        if siphon1 > n:
+            raise _siphon_error(siphon1, n)
+        if siphon2 > n - siphon1:
+            raise _siphon_error(siphon2, n - siphon1)
 
     def resolved_thresholds(self) -> Tuple[float, float]:
         """(epsilon_distance, epsilon_purity) for this mode.
@@ -187,37 +176,33 @@ def _check_siphon(siphon, available) -> None:
         raise _siphon_error(siphon.flat[k], available.flat[k])
 
 
-def _received_populations(
-    n, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float, taken2
-):
+def _received_populations(n, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float):
     """(count, angle) of the three populations Alice receives, in the order
     they joined the beam: hers, Eve's stage-1 injection, Eve's stage-2
     injection.
 
-    Eve siphons `siphon1` of Alice's photons before Bob and `siphon2` photons
-    after him, `taken2` of them Alice's, and injects as many at phi each
-    time; Bob rotates everything at his station by 90 deg per bit. In exact
-    mode Eve siphons only Alice's photons (taken2 = siphon2: siphoning her
-    own injections back out gains her nothing), so Alice gets back
-    n - siphon1 - siphon2 photons at theta + 90b, siphon1 at phi + 90b and
-    siphon2 at phi.
+    Eve siphons `siphon1` of Alice's photons before Bob and `siphon2` more of
+    them after him (siphoning her own injections back out gains her
+    nothing), and injects as many at phi each time; Bob rotates everything at
+    his station by 90 deg per bit. Alice gets back n - siphon1 - siphon2
+    photons at theta + 90b, siphon1 at phi + 90b and siphon2 at phi.
     """
     rotation = 90.0 * bob_bit
     return (
-        (n - siphon1 - taken2, normalize_angle(theta_deg + rotation)),
-        (siphon1 - (siphon2 - taken2), normalize_angle(phi_deg + rotation)),
+        (n - siphon1 - siphon2, normalize_angle(theta_deg + rotation)),
+        (siphon1, normalize_angle(phi_deg + rotation)),
         (siphon2, phi_deg),
     )
 
 
 def received_stokes(n: int, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float):
-    """Linear Stokes components (s1, s3) of what Alice receives in exact mode
-    (see _received_populations). The siphon counts may be arrays, giving one
+    """Linear Stokes components (s1, s3) of what Alice receives (see
+    _received_populations). The siphon counts may be arrays, giving one
     received state per element."""
     _check_siphon(siphon1, n)
     _check_siphon(siphon2, n - siphon1)
     (na, ta), (nb, tb), (nc, tc) = _received_populations(
-        n, theta_deg, bob_bit, siphon1, siphon2, phi_deg, siphon2
+        n, theta_deg, bob_bit, siphon1, siphon2, phi_deg
     )
     a1, a3 = linear_stokes(ta)
     b1, b3 = linear_stokes(tb)
@@ -313,7 +298,7 @@ def _run_exact(config: ProtocolConfig) -> ProtocolOutcome:
     theta = config.alice_angle_deg
     populations = _received_populations(
         config.n_photons, theta, config.bob_bit, eve.siphon_stage1, eve.siphon_stage2,
-        eve.injection_angle_deg, eve.siphon_stage2,
+        eve.injection_angle_deg,
     )
     # ensemble_density skips the empty populations
     rho_received = ensemble_density(PhotonEnsemble(populations))
@@ -337,28 +322,16 @@ def _born_probabilities(
 
 
 def _run_sampled(config: ProtocolConfig) -> ProtocolOutcome:
-    """Sampled mode on integer populations: Eve's random siphon, binomial
-    tomography of the received mixture, and Alice's checks in closed form on
-    the reconstructed Stokes vector.
-
-    Eve's siphons are drawn uniformly without replacement from everything in
-    the beam (see _received_populations). At stage 1 the beam holds only
-    Alice's photons, so Eve takes exactly siphon1 of them and nothing is
-    drawn. At stage 2 the number of Alice's photons among her siphon2 is
-    hypergeometric over Alice's n - siphon1 and Eve's siphon1; numpy's
-    multivariate_hypergeometric over the two populations consumes the same
-    generator bits for the same variate.
-    """
-    rng = np.random.default_rng(config.tomography.seed)
+    """Sampled mode: exact mode's received populations, binomial tomography
+    of their mixture, and Alice's checks in closed form on the reconstructed
+    Stokes vector."""
     n, eve = config.n_photons, config.eve
-    siphon1, siphon2 = eve.siphon_stage1, eve.siphon_stage2
-    taken2 = siphon2
-    if siphon1 and siphon2:
-        taken2 = int(rng.hypergeometric(n - siphon1, siphon1, siphon2))
     populations = _received_populations(
-        n, config.alice_angle_deg, config.bob_bit, siphon1, siphon2, eve.injection_angle_deg, taken2
+        n, config.alice_angle_deg, config.bob_bit, eve.siphon_stage1, eve.siphon_stage2,
+        eve.injection_angle_deg,
     )
     probabilities = _born_probabilities(populations, n)
+    rng = np.random.default_rng(config.tomography.seed)
     counts = sample_counts(probabilities, config.tomography.photons_per_basis, rng)
     return _outcome(config, reconstruct(counts))
 

@@ -158,6 +158,14 @@ class TestKernelChecks:
         with pytest.raises(ValueError, match="Poincare"):
             bloch_summary(np.array([0.0, 0.8]), np.array([1.0, 0.8]))
 
+    def test_bound_is_density_from_stokes_bound(self):
+        # |s| up to MAX_STOKES_NORM is physical for both, however it is built
+        s1 = 1.0 + 1e-10
+        ps.density_from_stokes(ps.StokesVector(1.0, s1, 0.0, 0.0))
+        assert bloch_summary(s1, 0.0).lambda_max == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="Poincare"):
+            bloch_summary(1.0 + 3e-10, 0.0)
+
     def test_degenerate_angle_is_nan(self):
         summary = bloch_summary(np.array([0.0, 0.6]), np.array([0.0, 0.8]))
         assert math.isnan(summary.principal_angle_deg[0])

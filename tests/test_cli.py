@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import polarsim as ps
+from polarsim import cli
 from polarsim.cli import main
 
 # sha256 of every exact-mode preset CSV, recorded from the complex 2x2 matrix
@@ -48,14 +49,15 @@ BULK_SWEEP_CSV_SHA256 = {
     (30.0, 90.0, 1): "8598e707a1cefbe4a922d72f785214d677975bf91d7457eaf8635f45851cf997",
 }
 
-# sha256 of sampled-mode preset CSVs, recorded with the bulk sweep digests
+# sha256 of sampled-mode preset CSVs, recorded again when sampled Eve's
+# stage-2 siphon began to take only Alice's photons, as exact mode's does
 SAMPLED_SWEEP_CSV_SHA256 = {
-    ("fig4", 0): "86633d6a5ea572f6d7653e63715c5b8f2782eada78c50785ac747603959c03ea",
-    ("fig4", 1): "c5d1ed8292a4e063ea269be4ae2dd62f601fbb503eb1843e2f82f4999cb444e4",
-    ("fig4", 2): "7ae026c3471e3f172921ea7a48e0c521c5fe15ff359f3f086c1eb9ad03cf74f5",
-    ("fig8", 0): "cec974b727776028f20f28e5bd83d77efd960ba35c7b27058973c01937b45dff",
-    ("fig8", 1): "a071652248e53e45f8232e3dc02bdc9bed2b358c48fbaa55b467161fce7ee8d9",
-    ("fig8", 2): "db7368f36660b3830fea4c188c3bca1435260ce67112088ee5b8c58100f0d83a",
+    ("fig4", 0): "d334bf7dc8fe331bca7c46904d8624770b4d1060998e9ca2dc4d871a423e7ba8",
+    ("fig4", 1): "6847b9bd0a62f5d112f1869347a67c98d62c75873c868fc9fa5b58b1140765cd",
+    ("fig4", 2): "df03cade8669d05ec7d5b0280a482c31b95ce3bf501bb534c67fc40443b136d6",
+    ("fig8", 0): "81ded91df8044b6d125d92af91f605ded4681639e117a8c46015227697c6684a",
+    ("fig8", 1): "1260a8c63039d16788635d9847cead600cfccaa5c93dd70f429e02949982c1e2",
+    ("fig8", 2): "8ecf9372e103e27a73c289c0bd283d60c51d9fa7989c481b4f03e416cc2a5db7",
 }
 
 # sha256 of the stdout of exact_protocol_argvs(), recorded from the
@@ -529,3 +531,70 @@ def test_non_finite_angle_usage_error(capsys, tmp_path, argv, value):
     assert exc.value.code == 2
     assert "polarization angle must be finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand, flag, key", [
+    ("protocol", "--seed", "seed"),
+    ("protocol", "--photons-per-basis", "photons_per_basis"),
+    ("sweep", "--bit", "bit"),
+    ("sweep", "--photons", "photons"),
+    ("sweep", "--seed", "seed"),
+])
+def test_help_states_the_defaults(capsys, monkeypatch, subcommand, flag, key):
+    # the help text reads the default it states, so a changed one shows
+    monkeypatch.setitem(cli.DEFAULTS, key, 4321)
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "-h"])
+    assert exc.value.code == 0
+    # one chunk per option: its name, metavar and help text
+    chunks = " ".join(capsys.readouterr().out.split()).split(" --")
+    [chunk] = [c for c in chunks if c.startswith(flag[2:] + " ")]
+    assert chunk.endswith("(default 4321)")
+    assert sum("(default 4321)" in c for c in chunks) == 1
+
+
+# manifest lines that record where a run came from, not a flag it read
+PROVENANCE = {"spec_revision", "subcommand", "rng_algorithm", "output", "duration_s"}
+
+
+def argv_from_manifest(path):
+    """The run a manifest records: key `theta_deg` is flag `--theta`, and an
+    empty value is a flag the run did not take."""
+    fields = [line.split("=", 1) for line in path.read_text().splitlines()]
+    argv = [dict(fields)["subcommand"]]
+    for key, value in fields:
+        if key not in PROVENANCE and value:
+            argv += ["--" + key.removesuffix("_deg").replace("_", "-"), value]
+    return argv
+
+
+@pytest.mark.parametrize("argv, csv_name", [
+    (["protocol", "--theta", "30", "--bit", "1", "--photons", "100", "--eve-siphon1", "10",
+      "--eve-siphon2", "20", "--eve-angle", "45"], "row.csv"),
+    (["protocol", "--theta", "30", "--bit", "1", "--photons", "100", "--eve-siphon1", "10",
+      "--eve-siphon2", "20", "--eve-angle", "45", "--mode", "sampled", "--seed", "7",
+      "--photons-per-basis", "1000"], "row.csv"),
+    (["sweep", "--preset", "fig8", "--bit", "1", "--photons", "60"], "fig8.csv"),
+    (["sweep", "--preset", "fig4", "--mode", "sampled", "--seed", "3", "--photons", "80"],
+     "fig4.csv"),
+    (["sweep", "--theta", "30", "--phi", "45", "--totals", "0,10,40", "--bit", "1",
+      "--photons", "200"], "custom.csv"),
+    (["sweep", "--preset", "delta-family"], "delta_family.csv"),
+    (["tomography", "--mix", "80@30,20@45", "--seed", "7", "--photons-per-basis", "1000"],
+     "counts.csv"),
+    (["tomography", "--theta", "10", "--seed", "3"], "counts.csv"),
+], ids=["protocol-exact", "protocol-sampled", "sweep-preset", "sweep-preset-sampled",
+        "sweep-custom", "sweep-delta-family", "tomography-mix", "tomography-theta"])
+def test_manifest_reruns_its_run(capsys, tmp_path, argv, csv_name):
+    # a sweep writes into its --out directory, the others to their --out file
+    def run(argv, directory):
+        directory.mkdir()
+        sweep = argv[0] == "sweep"
+        assert main([*argv, "--out", str(directory if sweep else directory / csv_name)]) == 0
+        capsys.readouterr()
+        manifest = directory / ("manifest.txt" if sweep else csv_name + ".manifest")
+        return (directory / csv_name).read_bytes(), manifest
+
+    csv, manifest = run(argv, tmp_path / "first")
+    rerun, _ = run(argv_from_manifest(manifest), tmp_path / "second")
+    assert rerun == csv

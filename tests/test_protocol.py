@@ -118,11 +118,11 @@ class TestProtocolConfig:
          "siphon count 11 exceeds the 10 untouched photons available at this stage"),
         (10, (6, 5), "exact",
          "siphon count 5 exceeds the 4 untouched photons available at this stage"),
-        (100, (0, 101), "sampled", "siphon count exceeds photons present at this stage"),
-        (protocol.MAX_SAMPLED_PHOTONS, (1, 0), "sampled",
-         "sampled mode draws Eve's siphon from fewer than 1000000000 photons, "
-         "got n_photons=1000000000"),
-    ], ids=["exact-stage1", "exact-stage2", "sampled-beam", "sampled-limit"])
+        (100, (0, 101), "sampled",
+         "siphon count 101 exceeds the 100 untouched photons available at this stage"),
+        (10, (6, 5), "sampled",
+         "siphon count 5 exceeds the 4 untouched photons available at this stage"),
+    ], ids=["exact-stage1", "exact-stage2", "sampled-beam", "sampled-stage2"])
     def test_siphon_excess_refused_when_built(self, n, siphons, mode, message):
         eve = ps.EveConfig(*siphons, 45.0, enabled=True)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -132,9 +132,9 @@ class TestProtocolConfig:
 @st.composite
 def siphons_near_the_bounds(draw):
     """(n, siphon1, siphon2, mode) with each count on or beside a bound:
-    zero, half the beam, what stage 1 left, the beam, or the sampled limit."""
-    limit = protocol.MAX_SAMPLED_PHOTONS
-    n = draw(st.sampled_from([1, 2, 10, 101, limit - 1, limit]))
+    zero, half the beam, what stage 1 left, or the beam; n reaches 10^9, the
+    beam size sampled mode once refused with a siphon."""
+    n = draw(st.sampled_from([1, 2, 10, 101, 10**9 - 1, 10**9]))
     near = st.integers(-2, 2)
     s1 = max(0, draw(st.sampled_from([0, n // 2, n])) + draw(near))
     s2 = max(0, draw(st.sampled_from([0, n // 2, n - s1, n])) + draw(near))

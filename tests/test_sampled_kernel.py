@@ -1,23 +1,26 @@
 """Sampled mode on integer populations against the photon-stream path it
 replaced.
 
-The reference keeps a list of (count, angle) populations, draws each of
-Eve's siphons with multivariate_hypergeometric over everything in the beam,
-builds the received matrix with ensemble_density, draws counts from
-born_probabilities, and reconstructs with np.linalg.eigh, clipping the
-negative eigenvalue and renormalizing the trace. Counts must be identical,
+The reference keeps a list of (count, angle) populations, takes each of
+Eve's siphons from Alice's population (the first in the list), builds the
+received matrix with ensemble_density, draws counts from born_probabilities,
+and reconstructs with np.linalg.eigh, clipping the negative eigenvalue and
+renormalizing the trace. Counts must be identical,
 rho_received within TOL, reported values within TOL, and decisions equal
 wherever no value is within MARGIN of a decision threshold.
 
 The golden digests cover rendered CLI output: 200 sampled `polarsim protocol`
 blocks and 200 `polarsim tomography --mix` outputs, recorded from the stream
 path, where a value that rounded to zero could print as -0.000000; that was
-recorded as 0.000000.
+recorded as 0.000000. The protocol digest was recorded again when sampled
+Eve's stage-2 siphon began to take only Alice's photons, as exact mode's
+does; that changed every block with both siphons non-zero.
 """
 
 import contextlib
 import hashlib
 import io
+import math
 import random
 
 import numpy as np
@@ -29,7 +32,6 @@ import polarsim as ps
 from polarsim import protocol
 from polarsim.cli import main
 from polarsim.polarization import PSD_TOL
-from polarsim.protocol import MAX_SAMPLED_PHOTONS
 from polarsim.tomography import sample_counts
 
 TOL = 1e-12
@@ -38,7 +40,7 @@ MARGIN = 1e-9
 # this; below it the reference's eigenvector loses digits to cancellation
 MIN_COHERENCE = 1e-6
 
-PROTOCOL_SHA256 = "25e9f31dc73629f0d59353b0a4419229d58c486b85921353616ebc1681e00b42"
+PROTOCOL_SHA256 = "be46ca09f9797aa1c685e596f329ca6c5dc6837c777ce510225dfc717ca7b5c1"
 TOMOGRAPHY_SHA256 = "3685d706da7ceb321f619f2c305519f405ca072d1b20873b0394b6b0f95426de"
 
 
@@ -62,12 +64,10 @@ def reference(config):
     def eve_stage(stream, siphon):
         if not eve.enabled or siphon == 0:
             return stream
-        counts = [c for c, _ in stream]
-        if siphon > sum(counts):
-            raise ValueError("siphon count exceeds photons present at this stage")
-        taken = rng.multivariate_hypergeometric(counts, siphon)
-        kept = [(c - int(t), a) for (c, a), t in zip(stream, taken)]
-        return kept + [(siphon, eve.injection_angle_deg)]
+        (alice, angle), rest = stream[0], stream[1:]
+        if siphon > alice:
+            raise ValueError("siphon count exceeds Alice's photons at this stage")
+        return [(alice - siphon, angle)] + rest + [(siphon, eve.injection_angle_deg)]
 
     stream = eve_stage(stream, eve.siphon_stage1)
     stream = [(c, ps.normalize_angle(a + 90.0 * config.bob_bit)) for c, a in stream]
@@ -103,9 +103,10 @@ def sampled_configs(draw):
     n = draw(st.one_of(st.integers(1, 20), st.integers(1, 100_000)))
     eve = ps.EveConfig.disabled()
     if draw(st.booleans()):
+        siphon1 = draw(st.integers(0, n))
         eve = ps.EveConfig(
-            siphon_stage1=draw(st.integers(0, n)),
-            siphon_stage2=draw(st.integers(0, n)),
+            siphon_stage1=siphon1,
+            siphon_stage2=draw(st.integers(0, n - siphon1)),
             injection_angle_deg=draw(st.floats(0.0, 180.0, exclude_max=True)),
             enabled=True,
         )
@@ -233,23 +234,26 @@ def sampled(n, s1=0, s2=0):
 
 
 @pytest.mark.parametrize("s1, s2", [(1, 0), (0, 1), (10, 10)])
-def test_huge_beam_with_eve_is_refused(s1, s2):
-    with pytest.raises(ValueError, match="fewer than 1000000000 photons"):
-        ps.run_protocol(sampled(MAX_SAMPLED_PHOTONS, s1, s2))
+def test_huge_beam_with_eve_runs(s1, s2):
+    # sampled mode draws no siphon, so no beam is too large for it
+    n = 10**9
+    assert ps.run_protocol(sampled(n, s1, s2)).stage_intensities == (n, n, n)
 
 
 def test_huge_beam_limits():
-    # no siphon draws nothing; just below the limit numpy can still draw
-    assert ps.run_protocol(sampled(10 * MAX_SAMPLED_PHOTONS)).decision is ps.Decision.BIT0
-    outcome = ps.run_protocol(sampled(MAX_SAMPLED_PHOTONS - 1, 10, 10))
-    assert outcome.stage_intensities == (MAX_SAMPLED_PHOTONS - 1,) * 3
+    # neither a beam without Eve nor one with her has a size limit
+    n = 10**10
+    assert ps.run_protocol(sampled(n)).decision is ps.Decision.BIT0
+    assert ps.run_protocol(sampled(n, 10, 10)).stage_intensities == (n, n, n)
 
 
 def test_siphon_beyond_the_beam_is_refused():
-    with pytest.raises(ValueError, match="exceeds photons present"):
+    with pytest.raises(ValueError, match="siphon count 101 exceeds the 100 untouched"):
         ps.run_protocol(sampled(100, 0, 101))
-    # a stage-2 siphon may take back Eve's stage-1 photons
-    assert ps.run_protocol(sampled(100, 60, 60)).stage_intensities == (100, 100, 100)
+    # stage 2 siphons only what stage 1 left of Alice's photons
+    with pytest.raises(ValueError, match="siphon count 60 exceeds the 40 untouched"):
+        ps.run_protocol(sampled(100, 60, 60))
+    assert ps.run_protocol(sampled(100, 60, 40)).stage_intensities == (100, 100, 100)
 
 
 def test_born_probabilities_repeat_the_matrix_path():
@@ -263,3 +267,29 @@ def test_born_probabilities_repeat_the_matrix_path():
         rho = ps.ensemble_density(ps.ensemble([p for p in populations if p[0]]))
         p_h, _, p_d, _, p_r, _ = ps.born_probabilities(rho)
         assert protocol._born_probabilities(populations, n) == (p_h, p_d, p_r)
+
+
+@pytest.mark.parametrize("n, theta, bit, s1, s2, phi", [
+    (100, 30.0, 0, 30, 30, 45.0),
+    (1000, 10.0, 1, 100, 200, 80.0),
+    (500, 75.0, 0, 50, 150, 140.0),
+])
+def test_sampled_mean_is_exact_mode(n, theta, bit, s1, s2, phi):
+    # both modes receive the same populations, so over K seeds the mean of
+    # the reconstructed Stokes vectors lies within a few sigma of exact
+    # mode's, sigma = 1/sqrt(N K) bounding each component's binomial noise
+    k_runs, per_basis = 300, 100_000
+    eve = ps.EveConfig(s1, s2, phi, enabled=True)
+
+    def stokes(mode, seed=0):
+        outcome = ps.run_protocol(ps.ProtocolConfig(
+            n, theta, bit, eve, mode, ps.TomographyConfig(per_basis, seed),
+        ))
+        return np.array(ps.stokes_from_density(outcome.rho_received)[1:])
+
+    exact = stokes("exact")
+    # well inside the sphere, so no reconstruction is projected onto it
+    assert np.linalg.norm(exact) < 0.98
+    mean = np.mean([stokes("sampled", seed) for seed in range(k_runs)], axis=0)
+    z = (mean - exact) * math.sqrt(per_basis * k_runs)
+    assert np.abs(z).max() <= 5.0, z
