@@ -111,7 +111,8 @@ def _parse_totals(text: str) -> Tuple[int, ...]:
 # defaults of the flags that some path ignores: they parse to None, so that
 # an explicit value can be refused there, and are filled in after that check
 DEFAULTS = {"bit": SweepSpec.bob_bit, "photons": SweepSpec.n_photons,
-            "seed": TomographyConfig.seed, "photons_per_basis": TomographyConfig.photons_per_basis}
+            "seed": TomographyConfig.seed, "photons_per_basis": TomographyConfig.photons_per_basis,
+            "eve_angle": 0.0}
 
 
 def _refuse(args: argparse.Namespace, path: str, flags: Sequence[str]) -> bool:
@@ -147,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eve-siphon1", type=int, default=0, help="photons Eve siphons in stage 1")
     p.add_argument("--eve-siphon2", type=int, default=0, help="photons Eve siphons in stage 2")
     p.add_argument(
-        "--eve-angle", type=_parse_angle, default=0.0, help="Eve's injection angle (deg)"
+        "--eve-angle", type=_parse_angle,
+        help=f"Eve's injection angle (deg), needs a siphon (default {DEFAULTS['eve_angle']})",
     )
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--seed", type=int, help=f"RNG seed, sampled mode (default {DEFAULTS['seed']})")
@@ -198,6 +200,11 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         args, "protocol --mode exact", ("seed", "photons_per_basis")
     ):
         return 2
+    # with no siphon Eve injects nothing, so her angle reaches no result
+    if args.eve_siphon1 == args.eve_siphon2 == 0 and _refuse(
+        args, "protocol without a siphon", ("eve_angle",)
+    ):
+        return 2
     _fill_defaults(args)
     eve_active = args.eve_siphon1 > 0 or args.eve_siphon2 > 0
     config = ProtocolConfig(
@@ -222,9 +229,10 @@ def cmd_protocol(args: argparse.Namespace) -> int:
             "photons": args.photons,
             "eve_siphon1": args.eve_siphon1,
             "eve_siphon2": args.eve_siphon2,
-            "eve_angle_deg": args.eve_angle,
             "mode": args.mode,
         }
+        if eve_active:
+            params["eve_angle_deg"] = args.eve_angle
         if args.mode == "sampled":
             params.update(seed=args.seed, photons_per_basis=args.photons_per_basis)
         _write_out(args, PROTOCOL_CSV_HEADER, outcome.to_csv_row(), params, started)

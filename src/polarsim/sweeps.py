@@ -136,11 +136,14 @@ def _exact_records(siphon_totals: Iterable[int], s1, s3, theta_deg: float) -> Li
         np.hypot(s1 - g1, s3 - g3) / math.sqrt(2.0),
         EXACT_EPS_DISTANCE, EXACT_EPS_PURITY,
     )
-    angles = [None if math.isnan(a) else a for a in summary.principal_angle_deg.tolist()]
-    return list(map(
-        SweepRecord, siphon_totals, summary.lambda_max.tolist(), angles,
+    angles = summary.principal_angle_deg.astype(object)
+    angles[np.isnan(summary.principal_angle_deg)] = None
+    # tuple.__new__ builds each row in C; SweepRecord's own __new__ is a
+    # Python function, one frame per row
+    return list(map(tuple.__new__, itertools.repeat(SweepRecord), zip(
+        siphon_totals, summary.lambda_max.tolist(), angles.tolist(),
         summary.purity.tolist(), (codes == EVE_CODE).tolist(),
-    ))
+    )))
 
 
 def sweep_siphon(spec: SweepSpec) -> List[SweepRecord]:
@@ -196,46 +199,72 @@ def sweep_delta_family(
     for f in fraction_grid:
         if not 0.0 <= f <= 0.5:
             raise ValueError(f"fractions must be in [0, 0.5], got {f}")
+    # a repeated value would collide with itself as a table key (as -0.0
+    # does with 0.0) and silently drop grid points
+    for name, values in (("deltas", deltas), ("fractions", fraction_grid)):
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise ValueError(f"{name} must not repeat, got {value} twice")
+            seen.add(value)
     theta = normalize_angle(base_theta)
     a1, a3 = linear_stokes(theta)
     b1, b3 = linear_stokes(np.array([[normalize_angle(base_theta + d)] for d in deltas]))
     f = np.array(fraction_grid, dtype=float)
-    grid = list(itertools.product(deltas, fraction_grid))
-    totals = [round(fraction * SweepSpec.n_photons) for _, fraction in grid]
+    grid = itertools.product(deltas, fraction_grid)
+    totals = [round(fraction * SweepSpec.n_photons) for fraction in fraction_grid] * len(deltas)
     records = _exact_records(totals, (1.0 - f) * a1 + f * b1, (1.0 - f) * a3 + f * b3, theta)
     return dict(zip(grid, records))
 
 
-def _fmt_angle(angle: Optional[float]) -> str:
-    return "" if angle is None else f"{angle:.6f}"
+_CSV_BLOCK_ROWS = 4096
+_BOOL_CELLS = ("false", "true")
 
 
-def _write_lines(lines: List[str], path) -> None:
+def _angle_cells(angles: Iterable[Optional[float]]) -> List[str]:
+    return ["" if angle is None else "%.6f" % angle for angle in angles]
+
+
+def _write_rows(path, header: str, template: str, rows: Iterable, columns) -> None:
+    """Write `header` and one `template` line per row of `rows` to `path`.
+
+    `columns` turns a block of rows into the template's cell columns. Each
+    block of rows is formatted by one `%`, and all of them before the file
+    is opened, so a row that cannot be formatted leaves no file.
+    """
+    rows = iter(rows)
+    text = [header + "\n"]
+    for block in iter(lambda: list(itertools.islice(rows, _CSV_BLOCK_ROWS)), []):
+        cells = tuple(itertools.chain.from_iterable(zip(*columns(block))))
+        text.append(template * len(block) % cells)
     try:
         with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(text)
     except OSError as exc:
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
 
 
+def _sweep_columns(block: List[SweepRecord]):
+    totals, lambdas, angles, purities, detected = zip(*block)
+    return (totals, lambdas, _angle_cells(angles), purities,
+            map(_BOOL_CELLS.__getitem__, map(bool, detected)))
+
+
 def write_csv(records: Iterable[SweepRecord], path) -> None:
     """Write a siphon-sweep CSV; byte-identical across runs for exact mode."""
-    lines = [SWEEP_CSV_HEADER]
-    lines += [
-        f"{total},{lambda_max:.6f},{_fmt_angle(angle)},{purity:.6f},"
-        f"{'true' if detected else 'false'}"
-        for total, lambda_max, angle, purity, detected in records
-    ]
-    _write_lines(lines, path)
+    _write_rows(path, SWEEP_CSV_HEADER, "%s,%.6f,%s,%.6f,%s\n", records, _sweep_columns)
+
+
+def _delta_family_columns(block: List[Tuple[Tuple[float, float], SweepRecord]]):
+    keys, records = zip(*block)
+    deltas, fractions = zip(*keys)
+    _, lambdas, angles, _, _ = zip(*records)
+    return deltas, fractions, lambdas, _angle_cells(angles)
 
 
 def write_delta_family_csv(table: Dict[Tuple[float, float], SweepRecord], path) -> None:
-    lines = [DELTA_FAMILY_CSV_HEADER]
-    lines += [
-        f"{delta:.6f},{fraction:.6f},{r.lambda_max:.6f},{_fmt_angle(r.peak_angle_deg)}"
-        for (delta, fraction), r in sorted(table.items())
-    ]
-    _write_lines(lines, path)
+    _write_rows(path, DELTA_FAMILY_CSV_HEADER, "%.6f,%.6f,%.6f,%s\n",
+                sorted(table.items()), _delta_family_columns)
 
 
 # Figure presets: each pair of consecutive figures in the source data shares

@@ -136,8 +136,9 @@ class TestDeltaFamilyMatchesMatrixPath:
     @settings(max_examples=100, deadline=None)
     @given(
         angles,
-        st.lists(st.floats(min_value=0.0, max_value=180.0), min_size=1, max_size=5),
-        st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=1, max_size=5),
+        # a grid value may not repeat (test_sweeps checks that it is refused)
+        st.lists(st.floats(min_value=0.0, max_value=180.0), min_size=1, max_size=5, unique=True),
+        st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=1, max_size=5, unique=True),
     )
     def test_records(self, base, deltas, fractions):
         table = ps.sweep_delta_family(deltas, base, fractions)

@@ -110,10 +110,11 @@ def exact_protocol_argvs():
                 phi = 0.5 * rng.randrange(360)
                 s1 = rng.randint(0, n // 2)
             s2 = rng.randint(0, n // 2)
+        # Eve's angle is refused where she siphons nothing
+        eve_angle = ["--eve-angle", str(phi)] if s1 or s2 else []
         argvs.append([
             "protocol", "--theta", str(theta), "--bit", str(bit), "--photons", str(n),
-            "--eve-siphon1", str(s1), "--eve-siphon2", str(s2), "--eve-angle", str(phi),
-            "--mode", "exact",
+            "--eve-siphon1", str(s1), "--eve-siphon2", str(s2), *eve_angle, "--mode", "exact",
         ])
     return argvs
 
@@ -213,6 +214,20 @@ class TestProtocolCommand:
         )
         assert code == 2
         assert f"protocol --mode exact takes no {flag[0]}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", [["--mode", "exact"], ["--mode", "sampled"]])
+    @pytest.mark.parametrize("angle", ["45", "0"])
+    def test_no_siphon_refuses_eve_angle(self, capsys, tmp_path, mode, angle):
+        # with no siphon Eve injects nothing, so her angle, even at its
+        # default, cannot reach the result
+        code, out, err = run_cli(
+            capsys, "protocol", "--theta", "30", "--bit", "0", "--photons", "100",
+            "--eve-siphon1", "0", "--eve-angle", angle, *mode, "--out", str(tmp_path / "run.csv"),
+        )
+        assert code == 2
+        assert "protocol without a siphon takes no --eve-angle" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -536,6 +551,7 @@ def test_non_finite_angle_usage_error(capsys, tmp_path, argv, value):
 @pytest.mark.parametrize("subcommand, flag, key", [
     ("protocol", "--seed", "seed"),
     ("protocol", "--photons-per-basis", "photons_per_basis"),
+    ("protocol", "--eve-angle", "eve_angle"),
     ("sweep", "--bit", "bit"),
     ("sweep", "--photons", "photons"),
     ("sweep", "--seed", "seed"),
@@ -574,6 +590,7 @@ def argv_from_manifest(path):
     (["protocol", "--theta", "30", "--bit", "1", "--photons", "100", "--eve-siphon1", "10",
       "--eve-siphon2", "20", "--eve-angle", "45", "--mode", "sampled", "--seed", "7",
       "--photons-per-basis", "1000"], "row.csv"),
+    (["protocol", "--theta", "30", "--bit", "1", "--photons", "100"], "row.csv"),
     (["sweep", "--preset", "fig8", "--bit", "1", "--photons", "60"], "fig8.csv"),
     (["sweep", "--preset", "fig4", "--mode", "sampled", "--seed", "3", "--photons", "80"],
      "fig4.csv"),
@@ -583,8 +600,9 @@ def argv_from_manifest(path):
     (["tomography", "--mix", "80@30,20@45", "--seed", "7", "--photons-per-basis", "1000"],
      "counts.csv"),
     (["tomography", "--theta", "10", "--seed", "3"], "counts.csv"),
-], ids=["protocol-exact", "protocol-sampled", "sweep-preset", "sweep-preset-sampled",
-        "sweep-custom", "sweep-delta-family", "tomography-mix", "tomography-theta"])
+], ids=["protocol-exact", "protocol-sampled", "protocol-exact-no-siphon", "sweep-preset",
+        "sweep-preset-sampled", "sweep-custom", "sweep-delta-family", "tomography-mix",
+        "tomography-theta"])
 def test_manifest_reruns_its_run(capsys, tmp_path, argv, csv_name):
     # a sweep writes into its --out directory, the others to their --out file
     def run(argv, directory):

@@ -189,9 +189,11 @@ def protocol_argvs():
             phi = theta + 90.0 * bit if rng.random() < 0.2 else 0.5 * rng.randrange(360)
             s1 = rng.randint(0, n // 2)
             s2 = rng.randint(0, n // 2)
+        # Eve's angle is refused where she siphons nothing
+        eve_angle = ["--eve-angle", str(phi)] if s1 or s2 else []
         argvs.append([
             "protocol", "--theta", str(theta), "--bit", str(bit), "--photons", str(n),
-            "--eve-siphon1", str(s1), "--eve-siphon2", str(s2), "--eve-angle", str(phi),
+            "--eve-siphon1", str(s1), "--eve-siphon2", str(s2), *eve_angle,
             "--mode", "sampled", "--seed", str(rng.getrandbits(32)),
             "--photons-per-basis", str(rng.choice((10, 1_000, 100_000))),
         ])

@@ -5,12 +5,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polarsim as ps
 from polarsim.sweeps import (
     DEFAULT_DELTAS,
     DEFAULT_FRACTIONS,
+    DELTA_FAMILY_CSV_HEADER,
     PRESETS,
+    SWEEP_CSV_HEADER,
     write_delta_family_csv,
 )
 
@@ -195,6 +199,18 @@ class TestSweepDeltaFamily:
         for (_, f), rec in table.items():
             assert rec.siphon_total == round(100 * f)
 
+    @pytest.mark.parametrize("deltas, fractions, message", [
+        ((15.0, 15.0, 30.0), (0.0, 0.1), "deltas must not repeat, got 15.0 twice"),
+        ((15.0, 30.0), (0.0, 0.1, 0.1), "fractions must not repeat, got 0.1 twice"),
+        ((0.0, -0.0), (0.1,), "deltas must not repeat, got -0.0 twice"),
+        ((15.0,), (0.0, 0.1, -0.0), "fractions must not repeat, got -0.0 twice"),
+        ((15, 15.0), (0.1,), "deltas must not repeat, got 15.0 twice"),
+    ], ids=["delta", "fraction", "signed-zero-delta", "signed-zero-fraction", "int-and-float"])
+    def test_repeated_grid_value_rejected(self, deltas, fractions, message):
+        # a repeated value is one table key, so its grid points would be lost
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ps.sweep_delta_family(deltas, 30.0, fractions)
+
 
 class TestPeakAngleDrift:
     @pytest.mark.parametrize("name", ["fig4", "fig6", "fig8", "fig10"])
@@ -280,3 +296,141 @@ class TestCsvOutput:
     def test_unwritable_path_reports_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             ps.write_csv([], tmp_path / "no" / "such" / "dir.csv")
+
+
+def _fmt_angle(angle):
+    return "" if angle is None else f"{angle:.6f}"
+
+
+def reference_csv(records):
+    """A siphon-sweep CSV rendered one f-string per row, as write_csv did
+    before it formatted rows in blocks."""
+    lines = [SWEEP_CSV_HEADER]
+    lines += [
+        f"{total},{lambda_max:.6f},{_fmt_angle(angle)},{purity:.6f},"
+        f"{'true' if detected else 'false'}"
+        for total, lambda_max, angle, purity, detected in records
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def reference_delta_family_csv(table):
+    lines = [DELTA_FAMILY_CSV_HEADER]
+    lines += [
+        f"{delta:.6f},{fraction:.6f},{r.lambda_max:.6f},{_fmt_angle(r.peak_angle_deg)}"
+        for (delta, fraction), r in sorted(table.items())
+    ]
+    return "\n".join(lines) + "\n"
+
+
+floats = st.floats() | st.floats().map(np.float64)
+records = st.builds(
+    ps.SweepRecord,
+    st.integers() | st.integers(-2**63, 2**63 - 1).map(np.int64),
+    floats,
+    st.none() | floats,
+    floats,
+    st.booleans() | st.booleans().map(np.bool_),
+)
+keys = st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False))
+
+
+def random_records(n, seed):
+    rng = random.Random(seed)
+    return [ps.SweepRecord(rng.randrange(10**6), rng.random(),
+                           None if rng.random() < 0.1 else rng.uniform(0, 180),
+                           rng.random(), rng.random() < 0.5)
+            for _ in range(n)]
+
+
+def random_table(n, seed):
+    """n records under distinct (delta, fraction) keys, inserted unsorted."""
+    rng = random.Random(seed)
+    grid = {(rng.uniform(-90, 90), rng.random()) for _ in range(n)}
+    assert len(grid) == n
+    return dict(zip(rng.sample(sorted(grid), n), random_records(n, seed)))
+
+
+class TestCsvWriterMatchesPerRowRendering:
+    """write_csv and write_delta_family_csv format rows in blocks; their bytes
+    are the per-row f-string rendering's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(records, max_size=20))
+    def test_sweep_rows(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "sweep.csv"
+        ps.write_csv(rows, path)
+        assert path.read_bytes() == reference_csv(rows).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(keys, records), max_size=20, unique_by=lambda item: item[0]))
+    def test_delta_family_rows(self, tmp_path_factory, items):
+        # keys in drawn order, so the writer's sort is exercised
+        table = dict(items)
+        path = tmp_path_factory.mktemp("csv") / "family.csv"
+        write_delta_family_csv(table, path)
+        assert path.read_bytes() == reference_delta_family_csv(table).encode()
+
+    def test_special_values(self, tmp_path):
+        rows = [ps.SweepRecord(np.int64(7), -0.0, angle, np.float64(0.25), np.True_)
+                for angle in (None, -0.0, math.nan, math.inf, -math.inf, np.float64(12.5))]
+        path = tmp_path / "special.csv"
+        ps.write_csv(rows, path)
+        assert path.read_text().splitlines()[1:] == [
+            "7,-0.000000,,0.250000,true", "7,-0.000000,-0.000000,0.250000,true",
+            "7,-0.000000,nan,0.250000,true", "7,-0.000000,inf,0.250000,true",
+            "7,-0.000000,-inf,0.250000,true", "7,-0.000000,12.500000,0.250000,true",
+        ]
+        assert path.read_bytes() == reference_csv(rows).encode()
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8192, 8193])
+    def test_rows_across_block_edges(self, tmp_path, n):
+        rows = random_records(n, n)
+        path = tmp_path / "sweep.csv"
+        ps.write_csv(rows, path)
+        assert path.read_bytes() == reference_csv(rows).encode()
+        # a generator is read once, in order
+        ps.write_csv((row for row in rows), path)
+        assert path.read_bytes() == reference_csv(rows).encode()
+
+    @pytest.mark.parametrize("n", [0, 1, 4097, 8193])
+    def test_delta_family_across_block_edges(self, tmp_path, n):
+        table = random_table(n, n)
+        path = tmp_path / "family.csv"
+        write_delta_family_csv(table, path)
+        assert path.read_bytes() == reference_delta_family_csv(table).encode()
+
+    @pytest.mark.parametrize("bad_row", [0, 5000])
+    def test_unformattable_record_leaves_no_file(self, tmp_path, bad_row):
+        # every block is formatted before the file is opened, also when the
+        # bad record sits in a later block than the first
+        rows = random_records(8193, 0)
+        rows[bad_row] = rows[bad_row]._replace(lambda_max=None)
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(TypeError):
+            ps.write_csv(rows, path)
+        table = dict(zip(random_table(8193, 0), rows))
+        with pytest.raises(TypeError):
+            write_delta_family_csv(table, path)
+        assert list(tmp_path.iterdir()) == []
+
+
+def _assert_row_types(row):
+    assert type(row) is ps.SweepRecord
+    assert type(row.siphon_total) is int
+    assert type(row.lambda_max) is float and type(row.purity) is float
+    assert row.peak_angle_deg is None or type(row.peak_angle_deg) is float
+    assert type(row.detected) is bool
+
+
+def test_exact_rows_are_records_of_python_values():
+    # at bit 1 the full budget leaves the received state maximally mixed,
+    # with no peak angle
+    spec = ps.SweepSpec(theta_deg=30, phi_deg=60, bob_bit=1, siphon_totals=(0, 20, 100))
+    rows = ps.sweep_siphon(spec)
+    assert rows[-1].peak_angle_deg is None
+    assert rows[0].peak_angle_deg is not None
+    table = ps.sweep_delta_family(deltas=(0.0, 90.0), fraction_grid=(0.0, 0.5))
+    assert table[(90.0, 0.5)].peak_angle_deg is None
+    for row in [*rows, *table.values()]:
+        _assert_row_types(row)
