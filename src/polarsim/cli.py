@@ -17,9 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import __version__
 from .polarization import (
     PhotonEnsemble,
-    ensemble_density,
     format_decimal,
     render_matrix,
+    report_line,
     stokes_from_density,
     stokes_purity,
     stokes_spectrum,
@@ -43,8 +43,8 @@ from .tomography import (
     COUNTS_CSV_HEADER,
     RNG_ALGORITHM,
     TomographyConfig,
+    measure,
     reconstruct_from_stokes,
-    simulate_counts,
     stokes_estimate,
 )
 
@@ -323,9 +323,8 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     else:
         print("tomography requires --theta or --mix", file=sys.stderr)
         return 2
-    rho_true = ensemble_density(ens)
     config = TomographyConfig(photons_per_basis=args.photons_per_basis, seed=args.seed)
-    counts = simulate_counts(rho_true, config)
+    counts = measure(ens.components, ens.total, config)
     stokes = stokes_estimate(counts)
     rho_hat = reconstruct_from_stokes(stokes)
     # the read-out of every protocol report, off the reconstructed Stokes vector
@@ -336,11 +335,10 @@ def cmd_tomography(args: argparse.Namespace) -> int:
           f"n_a={counts.n_a} n_r={counts.n_r} n_l={counts.n_l}")
     print(f"stokes_estimate=({', '.join(map(format_decimal, stokes))})")
     print(f"reconstructed={render_matrix(rho_hat)}")
-    print(f"purity={format_decimal(stokes_purity(s_hat))}")
-    print(f"lambda_max={format_decimal(spectrum.lambda_max)}")
-    print(f"lambda_min={format_decimal(spectrum.lambda_min)}")
-    angle = spectrum.principal_angle_deg
-    print("principal_angle_deg=" + ("" if angle is None else format_decimal(angle)))
+    print(report_line("purity", stokes_purity(s_hat)))
+    print(report_line("lambda_max", spectrum.lambda_max))
+    print(report_line("lambda_min", spectrum.lambda_min))
+    print(report_line("principal_angle_deg", spectrum.principal_angle_deg))
 
     if args.out is not None:
         _write_out(

@@ -21,7 +21,7 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
-# the largest Stokes norm |r| DensityMatrix accepts: (1 - |r|)/2 >= -PSD_TOL
+# the largest |r| DensityMatrix accepts, up to outside_poincare_sphere's rounding
 MAX_STOKES_NORM = 1.0 + 2.0 * PSD_TOL
 
 # the largest photon count numpy's int64 draws and arrays hold
@@ -214,13 +214,23 @@ def stokes_matrix(s: StokesVector) -> np.ndarray:
     )
 
 
+def outside_poincare_sphere(s: StokesVector) -> bool:
+    """DensityMatrix's positivity rule on stokes_matrix(s): its smaller
+    closed-form eigenvalue, from the same entries in Python numbers, is below
+    -PSD_TOL (about |r| > MAX_STOKES_NORM)."""
+    s0, s1, s2, s3 = s
+    lmin = _eigvals_2x2(0.5 * (s0 + s3), complex(0.5 * s1, -0.5 * s2), 0.5 * (s0 - s3))[1]
+    return lmin < -PSD_TOL
+
+
 def density_from_stokes(s: StokesVector) -> DensityMatrix:
     """Inverse of stokes_from_density: rho = (1/2) sum_i S_i sigma_i.
 
-    Rejects Stokes vectors outside the Poincare unit ball (non-physical).
+    Rejects Stokes vectors outside the Poincare unit ball (non-physical), by
+    DensityMatrix's own positivity rule on the matrix built.
     """
-    norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
-    if norm > MAX_STOKES_NORM:
+    if outside_poincare_sphere(s):
+        norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
         raise ValueError(f"Stokes vector outside the Poincare sphere: |s| = {norm}")
     return DensityMatrix(stokes_matrix(s))
 
@@ -338,6 +348,11 @@ def format_decimal(x: float) -> str:
     with the sign of its rounding residue."""
     text = f"{x:.6f}"
     return "0.000000" if text == "-0.000000" else text
+
+
+def report_line(key: str, value: Optional[float]) -> str:
+    """key=value with format_decimal; None (an undefined angle) prints empty."""
+    return key + "=" + ("" if value is None else format_decimal(value))
 
 
 def render_matrix(rho: DensityMatrix) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,18 +25,17 @@ from .polarization import (
     check_count,
     density_of_pure,
     ensemble_density,
-    format_decimal,
     linear_stokes,
     matrix_distance,
-    mixture_entries,
     normalize_angle,
     pure_state,
     purity,
+    report_line,
     stokes_from_density,
     stokes_purity,
     stokes_spectrum,
 )
-from .tomography import TomographyConfig, clamp_probability, reconstruct, sample_counts
+from .tomography import TomographyConfig, measure, reconstruct
 
 PROTOCOL_CSV_HEADER = (
     "decision,purity,dist_h0,dist_h90,lambda_max,principal_angle_deg,"
@@ -147,15 +146,14 @@ class ProtocolOutcome:
     def _report_lines(self) -> List[str]:
         """Every reported value as a key=value line; the one table both
         renderings read."""
-        angle = self.spectrum.principal_angle_deg
         return [
             f"decision={self.decision.value}",
-            f"purity={format_decimal(self.purity_received)}",
-            f"dist_h0={format_decimal(self.dist_to_h0)}",
-            f"dist_h90={format_decimal(self.dist_to_h90)}",
-            f"lambda_max={format_decimal(self.spectrum.lambda_max)}",
-            f"lambda_min={format_decimal(self.spectrum.lambda_min)}",
-            "principal_angle_deg=" + ("" if angle is None else format_decimal(angle)),
+            report_line("purity", self.purity_received),
+            report_line("dist_h0", self.dist_to_h0),
+            report_line("dist_h90", self.dist_to_h90),
+            report_line("lambda_max", self.spectrum.lambda_max),
+            report_line("lambda_min", self.spectrum.lambda_min),
+            report_line("principal_angle_deg", self.spectrum.principal_angle_deg),
             f"intensity_sent={self.stage_intensities[0]}",
             f"intensity_after_stage1={self.stage_intensities[1]}",
             f"intensity_after_stage2={self.stage_intensities[2]}",
@@ -290,16 +288,17 @@ def _outcome(
     )
 
 
-def _run_exact(config: ProtocolConfig) -> ProtocolOutcome:
-    """Exact mode: the received density matrix is the validated view of the
-    explicit received populations, and Alice decides on it with the public
-    rule."""
-    eve = config.eve
-    theta = config.alice_angle_deg
+def run_protocol(config: ProtocolConfig) -> ProtocolOutcome:
+    """One full transmission and Alice's decision. Both modes receive the same
+    populations: exact mode decides on their density matrix with the public
+    rule, sampled mode on the reconstruction from their measured counts."""
+    n, eve, theta = config.n_photons, config.eve, config.alice_angle_deg
     populations = _received_populations(
-        config.n_photons, theta, config.bob_bit, eve.siphon_stage1, eve.siphon_stage2,
-        eve.injection_angle_deg,
+        n, theta, config.bob_bit, eve.siphon_stage1, eve.siphon_stage2, eve.injection_angle_deg
     )
+    if config.mode == "sampled":
+        counts = measure(populations, n, config.tomography)
+        return _outcome(config, reconstruct(counts))
     # ensemble_density skips the empty populations
     rho_received = ensemble_density(PhotonEnsemble(populations))
     decision = decide(
@@ -309,35 +308,3 @@ def _run_exact(config: ProtocolConfig) -> ProtocolOutcome:
         *config.resolved_thresholds(),
     )
     return _outcome(config, rho_received, decision)
-
-
-def _born_probabilities(
-    populations: Sequence[Tuple[int, float]], n: int
-) -> Tuple[float, float, float]:
-    """Born probabilities (p_h, p_d, p_r) of a mixture of linear
-    populations totalling n photons, read as born_probabilities reads them
-    off the matrix of ensemble_density, from the same mixture entries."""
-    m00, m01, _ = mixture_entries(populations, n)
-    return clamp_probability(m00), clamp_probability(0.5 * (1.0 + 2.0 * m01)), 0.5
-
-
-def _run_sampled(config: ProtocolConfig) -> ProtocolOutcome:
-    """Sampled mode: exact mode's received populations, binomial tomography
-    of their mixture, and Alice's checks in closed form on the reconstructed
-    Stokes vector."""
-    n, eve = config.n_photons, config.eve
-    populations = _received_populations(
-        n, config.alice_angle_deg, config.bob_bit, eve.siphon_stage1, eve.siphon_stage2,
-        eve.injection_angle_deg,
-    )
-    probabilities = _born_probabilities(populations, n)
-    rng = np.random.default_rng(config.tomography.seed)
-    counts = sample_counts(probabilities, config.tomography.photons_per_basis, rng)
-    return _outcome(config, reconstruct(counts))
-
-
-def run_protocol(config: ProtocolConfig) -> ProtocolOutcome:
-    """Execute one full transmission and Alice's final decision."""
-    if config.mode == "exact":
-        return _run_exact(config)
-    return _run_sampled(config)

@@ -1,12 +1,13 @@
 """Simulated projective polarization tomography.
 
-Measures a density matrix in the H/V, D/A and R/L bases via seeded binomial
-sampling, estimates Stokes parameters from the counts (James, Kwiat, Munro &
-White, PRA 64, 052312, 2001), and reconstructs a guaranteed-physical density
-matrix. For a qubit, clipping the negative eigenvalue of the linear inversion
-and renormalizing the trace is the projection r -> r/|r| of the Stokes
-vector onto the Poincare sphere (Smolin, Gambetta & Smith, PRL 108, 070502,
-2012), so reconstruction is closed form.
+Measures photon populations (measure) or a density matrix in the H/V, D/A
+and R/L bases via seeded binomial sampling, estimates Stokes parameters from
+the counts (James, Kwiat, Munro & White, PRA 64, 052312, 2001), and
+reconstructs a guaranteed-physical density matrix. For a qubit, clipping the
+negative eigenvalue of the linear inversion and renormalizing the trace is
+the projection r -> r/|r| of the Stokes vector onto the Poincare sphere
+(Smolin, Gambetta & Smith, PRL 108, 070502, 2012), so reconstruction is
+closed form.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import numpy as np
 
 from .polarization import (
     INT64_MAX,
-    MAX_STOKES_NORM,
     DensityMatrix,
     StokesVector,
     check_count,
+    mixture_entries,
+    outside_poincare_sphere,
     stokes_from_density,
     stokes_matrix,
 )
@@ -78,7 +80,8 @@ def clamp_probability(p: float) -> float:
 
 
 def born_probabilities(rho: DensityMatrix) -> Tuple[float, float, float, float, float, float]:
-    """Projection probabilities (p_h, p_v, p_d, p_a, p_r, p_l)."""
+    """Projection probabilities (p_h, ..., p_l) of a matrix: the matrix-path
+    reference that tests compare measure with and the benchmark tracer names."""
     s = stokes_from_density(rho)
     p_h = clamp_probability(float(rho.matrix[0, 0].real))
     p_d = clamp_probability(0.5 * (1.0 + s.s1))
@@ -104,10 +107,27 @@ def sample_counts(
 
 
 def simulate_counts(rho: DensityMatrix, config: TomographyConfig) -> MeasurementCounts:
-    """Seeded measurement simulation; same (rho, config) gives identical counts."""
+    """Seeded counts of a matrix, identical for the same (rho, config): the
+    matrix-path reference tests compare measure with; the tracer names it."""
     p_h, _, p_d, _, p_r, _ = born_probabilities(rho)
     rng = np.random.default_rng(config.seed)
     return sample_counts((p_h, p_d, p_r), config.photons_per_basis, rng)
+
+
+def _born_probabilities(populations, total: int) -> Tuple[float, float, float]:
+    """(p_h, p_d, p_r) of linear populations (count, angle) totalling `total`
+    photons: born_probabilities' floats, from the entries ensemble_density reads."""
+    m00, m01, _ = mixture_entries(populations, total)
+    return clamp_probability(m00), clamp_probability(0.5 * (1.0 + 2.0 * m01)), 0.5
+
+
+def measure(populations, total: int, config: TomographyConfig) -> MeasurementCounts:
+    """Seeded tomography of linear populations (count, angle) totalling `total`
+    photons: simulate_counts' counts for their mixture, without its matrix."""
+    if total <= 0:
+        raise ValueError("ensemble has no photons")
+    rng = np.random.default_rng(config.seed)
+    return sample_counts(_born_probabilities(populations, total), config.photons_per_basis, rng)
 
 
 def stokes_estimate(counts: MeasurementCounts) -> StokesVector:
@@ -127,13 +147,12 @@ def stokes_estimate(counts: MeasurementCounts) -> StokesVector:
 def reconstruct_from_stokes(s: StokesVector) -> DensityMatrix:
     """Physical density matrix from a (possibly non-physical) Stokes estimate.
 
-    The linear inversion has eigenvalues (1 +- |r|)/2. It is kept while the
-    smaller one is at least -PSD_TOL, i.e. |r| <= MAX_STOKES_NORM, the bound
-    density_from_stokes accepts; beyond that, clipping it to zero and
-    renormalizing the trace leaves the pure state r/|r|.
+    The linear inversion has eigenvalues (1 +- |r|)/2. It is kept unless
+    outside_poincare_sphere, DensityMatrix's rule, refuses it; then clipping
+    the smaller one to zero and renormalizing the trace leaves the pure r/|r|.
     """
-    norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
-    if norm > MAX_STOKES_NORM:
+    if outside_poincare_sphere(s):
+        norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
         s = StokesVector(1.0, s.s1 / norm, s.s2 / norm, s.s3 / norm)
     return DensityMatrix(stokes_matrix(s))
 

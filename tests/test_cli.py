@@ -461,6 +461,16 @@ class TestTomographyCommand:
         assert f"argument --mix: {message}" in err
         assert "_parse_mix" not in err
 
+    def test_empty_mixture_is_domain_error(self, capsys, tmp_path):
+        out_file = tmp_path / "f.csv"
+        code, out, err = run_cli(
+            capsys, "tomography", "--mix", "0@30,0@45", "--out", str(out_file),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ensemble has no photons\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_state_flags(self, capsys):
         code, _, err = run_cli(capsys, "tomography")
         assert code == 2

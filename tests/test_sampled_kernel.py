@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polarsim as ps
-from polarsim import protocol
+from polarsim import tomography
 from polarsim.cli import main
 from polarsim.polarization import PSD_TOL
 from polarsim.tomography import sample_counts
@@ -88,7 +88,7 @@ def run_with_counts(config):
         return drawn[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "sample_counts", spy)
+        mp.setattr(tomography, "sample_counts", spy)
         outcome = ps.run_protocol(config)
     return drawn[0], outcome
 
@@ -235,6 +235,18 @@ def sampled(n, s1=0, s2=0):
     )
 
 
+def test_estimate_on_the_psd_bound_runs():
+    # counts (100000, 0, 50000, 50000, 50001, 49999) give |r| equal to the
+    # float MAX_STOKES_NORM, whose raw matrix DensityMatrix rejects; the
+    # reconstruction projects it onto the sphere instead of raising
+    outcome = ps.run_protocol(ps.ProtocolConfig(
+        n_photons=1, alice_angle_deg=0.0, bob_bit=0, mode="sampled",
+        tomography=ps.TomographyConfig(seed=3560),
+    ))
+    assert outcome.decision is ps.Decision.BIT0
+    assert outcome.purity_received == pytest.approx(1.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("s1, s2", [(1, 0), (0, 1), (10, 10)])
 def test_huge_beam_with_eve_runs(s1, s2):
     # sampled mode draws no siphon, so no beam is too large for it
@@ -268,7 +280,7 @@ def test_born_probabilities_repeat_the_matrix_path():
                        (n - a - b, rng.uniform(0, 180))]
         rho = ps.ensemble_density(ps.ensemble([p for p in populations if p[0]]))
         p_h, _, p_d, _, p_r, _ = ps.born_probabilities(rho)
-        assert protocol._born_probabilities(populations, n) == (p_h, p_d, p_r)
+        assert tomography._born_probabilities(populations, n) == (p_h, p_d, p_r)
 
 
 @pytest.mark.parametrize("n, theta, bit, s1, s2, phi", [

@@ -1,11 +1,13 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 import polarsim as ps
-from polarsim.polarization import DensityMatrix
-from polarsim.tomography import reconstruct_from_stokes
+from polarsim.polarization import DensityMatrix, outside_poincare_sphere, stokes_matrix
+from polarsim.tomography import measure, reconstruct_from_stokes
 
 
 def rho(angle_deg):
@@ -62,6 +64,26 @@ class TestSimulateCounts:
         assert counts.n_h + counts.n_v == 500
         assert counts.n_d + counts.n_a == 500
         assert counts.n_r + counts.n_l == 500
+
+
+class TestMeasure:
+    def test_counts_of_the_mixture_matrix(self):
+        # measure draws the counts simulate_counts draws from the matrix of
+        # the same mixture
+        rng = random.Random(5)
+        for _ in range(300):
+            components = [(rng.randint(0, 10**6), rng.uniform(0, 360))
+                          for _ in range(rng.randint(1, 4))]
+            ens = ps.ensemble(components)
+            if ens.total == 0:
+                continue
+            cfg = ps.TomographyConfig(rng.choice((1, 10, 1_000, 10**6)), rng.getrandbits(32))
+            expected = ps.simulate_counts(ps.ensemble_density(ens), cfg)
+            assert measure(ens.components, ens.total, cfg) == expected
+
+    def test_empty_mixture_refused(self):
+        with pytest.raises(ValueError, match="^ensemble has no photons$"):
+            measure(((0, 30.0), (0, 45.0)), 0, ps.TomographyConfig())
 
 
 def test_photons_per_basis_must_be_positive():
@@ -158,6 +180,38 @@ class TestReconstruct:
         assert math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3) > 1.0
         back = ps.density_from_stokes(s)
         assert np.allclose(back.matrix, rho_hat.matrix, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_pure_axis_counts_never_raise(self, n):
+        # all counts on one outcome of a basis and the other two bases off
+        # balance by 0-3 photons: |r| lies at or just above 1, where the
+        # keep-or-project rule must agree with DensityMatrix's
+        for axis, pole, k1, k2 in itertools.product(range(3), (n, 0), range(-3, 4), range(-3, 4)):
+            pairs = [(n // 2 + k1, n - n // 2 - k1), (n // 2 + k2, n - n // 2 - k2)]
+            pairs.insert(axis, (pole, n - pole))
+            rho_hat = ps.reconstruct(ps.MeasurementCounts(*itertools.chain(*pairs)))
+            assert np.linalg.eigvalsh(rho_hat.matrix).min() >= -ps.polarization.PSD_TOL
+
+    def test_keep_or_project_rule_is_density_matrix_rule(self):
+        # Stokes vectors around |r| = MAX_STOKES_NORM, some with a zero
+        # component: outside_poincare_sphere refuses exactly the matrices
+        # DensityMatrix refuses
+        rng = random.Random(8)
+        refused = 0
+        for _ in range(20_000):
+            d = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            if rng.random() < 0.3:
+                d[rng.randrange(3)] = 0.0
+            scale = (1.0 + 2e-10 * (1.0 + rng.uniform(-1e-3, 1e-3))) / math.hypot(*d)
+            s = ps.StokesVector(1.0, *(x * scale for x in d))
+            try:
+                DensityMatrix(stokes_matrix(s))
+            except ValueError:
+                refused += 1
+                assert outside_poincare_sphere(s)
+            else:
+                assert not outside_poincare_sphere(s)
+        assert 0 < refused < 20_000
 
     def test_adversarial_counts_stay_physical(self):
         adversarial = [
