@@ -8,6 +8,7 @@ error (e.g. siphoning more photons than exist) and exit 2 a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -112,7 +113,7 @@ def _parse_totals(text: str) -> Tuple[int, ...]:
 # an explicit value can be refused there, and are filled in after that check
 DEFAULTS = {"bit": SweepSpec.bob_bit, "photons": SweepSpec.n_photons,
             "seed": TomographyConfig.seed, "photons_per_basis": TomographyConfig.photons_per_basis,
-            "eve_angle": 0.0}
+            "eve_angle": EveConfig.injection_angle_deg}
 
 
 def _refuse(args: argparse.Namespace, path: str, flags: Sequence[str]) -> bool:
@@ -200,13 +201,12 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         args, "protocol --mode exact", ("seed", "photons_per_basis")
     ):
         return 2
-    # with no siphon Eve injects nothing, so her angle reaches no result
-    if args.eve_siphon1 == args.eve_siphon2 == 0 and _refuse(
-        args, "protocol without a siphon", ("eve_angle",)
-    ):
+    # Eve is active iff she siphons; with no siphon she injects nothing, so
+    # her angle reaches no result
+    eve_active = args.eve_siphon1 != 0 or args.eve_siphon2 != 0
+    if not eve_active and _refuse(args, "protocol without a siphon", ("eve_angle",)):
         return 2
     _fill_defaults(args)
-    eve_active = args.eve_siphon1 > 0 or args.eve_siphon2 > 0
     config = ProtocolConfig(
         n_photons=args.photons,
         alice_angle_deg=args.theta,
@@ -358,9 +358,14 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads argvs with, built once per process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"protocol": cmd_protocol, "sweep": cmd_sweep, "tomography": cmd_tomography}
     try:
         return handlers[args.subcommand](args)

@@ -21,9 +21,6 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
-# the largest |r| DensityMatrix accepts, up to outside_poincare_sphere's rounding
-MAX_STOKES_NORM = 1.0 + 2.0 * PSD_TOL
-
 # the largest photon count numpy's int64 draws and arrays hold
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -217,7 +214,7 @@ def stokes_matrix(s: StokesVector) -> np.ndarray:
 def outside_poincare_sphere(s: StokesVector) -> bool:
     """DensityMatrix's positivity rule on stokes_matrix(s): its smaller
     closed-form eigenvalue, from the same entries in Python numbers, is below
-    -PSD_TOL (about |r| > MAX_STOKES_NORM)."""
+    -PSD_TOL (about |r| > 1 + 2 PSD_TOL)."""
     s0, s1, s2, s3 = s
     lmin = _eigvals_2x2(0.5 * (s0 + s3), complex(0.5 * s1, -0.5 * s2), 0.5 * (s0 - s3))[1]
     return lmin < -PSD_TOL
@@ -326,21 +323,23 @@ def linear_stokes(angle_degrees):
 
 
 def bloch_summary(s1, s3) -> BlochSummary:
-    """Spectrum of the states (s1, s3); rejects non-finite or non-physical
-    components (|s| beyond MAX_STOKES_NORM, outside the Poincare sphere)."""
+    """Spectrum of the states (s1, s3); rejects non-finite components and
+    states outside the Poincare sphere, by DensityMatrix's positivity rule on
+    the closed-form eigenvalue: lambda_min below -PSD_TOL."""
     r2 = s1 * s1 + s3 * s3
     # ufuncs return numpy scalars or arrays, whose .all()/.any() cost less
     # than np.all/np.any on a batch of one
     if not np.isfinite(r2).all():
         raise ValueError("Stokes components must be finite")
     norm = np.hypot(s1, s3)
-    if np.greater(norm, MAX_STOKES_NORM).any():
+    lambda_min = 0.5 * (1.0 - norm)
+    if np.less(lambda_min, -PSD_TOL).any():
         raise ValueError(f"Stokes vector outside the Poincare sphere: |s| = {np.max(norm)}")
     # a tiny negative angle rounds up to 180 under the first %; the second
     # maps that to 0 and leaves every angle in [0, 180) unchanged
     angle = np.degrees(np.arctan2(s1, s3)) / 2.0 % 180.0 % 180.0
     angle = np.where(norm < DEGENERACY_TOL, np.nan, angle)
-    return BlochSummary(0.5 * (1.0 + r2), 0.5 * (1.0 + norm), 0.5 * (1.0 - norm), angle)
+    return BlochSummary(0.5 * (1.0 + r2), 0.5 * (1.0 + norm), lambda_min, angle)
 
 
 def format_decimal(x: float) -> str:

@@ -73,10 +73,10 @@ class EveConfig:
     enabled: bool = False
 
     def __post_init__(self) -> None:
-        if self.siphon_stage1 < 0 or self.siphon_stage2 < 0:
-            raise ValueError("siphon counts must be non-negative")
         check_count(self.siphon_stage1, "siphon counts must be integers")
         check_count(self.siphon_stage2, "siphon counts must be integers")
+        if self.siphon_stage1 < 0 or self.siphon_stage2 < 0:
+            raise ValueError("siphon counts must be non-negative")
         if not self.enabled and (self.siphon_stage1 or self.siphon_stage2):
             raise ValueError("a disabled Eve siphons nothing; set enabled=True to siphon")
         object.__setattr__(self, "injection_angle_deg", normalize_angle(self.injection_angle_deg))
@@ -96,15 +96,16 @@ class ProtocolConfig:
     tomography: TomographyConfig = field(default_factory=TomographyConfig)
 
     def __post_init__(self) -> None:
+        check_count(self.n_photons, "n_photons must be an integer")
         if self.n_photons < 1:
             raise ValueError("n_photons must be positive")
-        check_count(self.n_photons, "n_photons must be an integer")
         if self.bob_bit not in (0, 1):
             raise ValueError("bob_bit must be 0 or 1")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         object.__setattr__(self, "alice_angle_deg", normalize_angle(self.alice_angle_deg))
-        # Eve siphons only Alice's untouched photons (see _received_populations)
+        # Eve siphons only Alice's untouched photons (see _received_populations);
+        # this is a run's siphon bound, and SweepSpec's totals keep within it
         n, siphon1, siphon2 = self.n_photons, self.eve.siphon_stage1, self.eve.siphon_stage2
         if siphon1 > n:
             raise _siphon_error(siphon1, n)
@@ -167,13 +168,6 @@ class ProtocolOutcome:
         return ",".join([fields[column] for column in _CSV_COLUMNS])
 
 
-def _check_siphon(siphon, available) -> None:
-    if np.greater(siphon, available).any():
-        siphon, available = np.broadcast_arrays(siphon, available)
-        k = np.argmax(siphon > available)
-        raise _siphon_error(siphon.flat[k], available.flat[k])
-
-
 def _received_populations(n, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float):
     """(count, angle) of the three populations Alice receives, in the order
     they joined the beam: hers, Eve's stage-1 injection, Eve's stage-2
@@ -196,9 +190,8 @@ def _received_populations(n, theta_deg: float, bob_bit: int, siphon1, siphon2, p
 def received_stokes(n: int, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float):
     """Linear Stokes components (s1, s3) of what Alice receives (see
     _received_populations). The siphon counts may be arrays, giving one
-    received state per element."""
-    _check_siphon(siphon1, n)
-    _check_siphon(siphon2, n - siphon1)
+    received state per element. Callers pass checked siphons: ProtocolConfig
+    bounds a run's siphons and SweepSpec a sweep's totals."""
     (na, ta), (nb, tb), (nc, tc) = _received_populations(
         n, theta_deg, bob_bit, siphon1, siphon2, phi_deg
     )

@@ -71,20 +71,20 @@ class SweepSpec:
                 "sweeps count photons as numpy int64, so n_photons must be "
                 f"at most {INT64_MAX}, got {self.n_photons}"
             )
-        # one pass; a bad total is reported before the order of the totals
-        previous, increasing = -1, True
+        # a sweep's siphon bound: an even total t <= n splits into halves t/2
+        # within ProtocolConfig's (t/2 <= n, t/2 <= n - t/2); a bad total is
+        # reported before the order of the totals
         for t in self.siphon_totals:
-            check_count(t, "siphon totals must be integers")
+            if type(t) is not int:
+                check_count(t, "siphon totals must be integers")
             if t < 0 or t % 2 != 0:
                 raise ValueError(f"siphon totals must be non-negative even integers, got {t}")
             if t > self.n_photons:
                 raise ValueError(f"siphon total {t} exceeds n_photons {self.n_photons}")
-            if t <= previous:
-                increasing = False
-            previous = t
-        if not increasing:
+        totals = tuple(map(int, self.siphon_totals))
+        if any(a >= b for a, b in zip(totals, totals[1:])):
             raise ValueError("siphon totals must be strictly increasing")
-        object.__setattr__(self, "siphon_totals", tuple(map(int, self.siphon_totals)))
+        object.__setattr__(self, "siphon_totals", totals)
 
 
 class SweepRecord(NamedTuple):

@@ -41,9 +41,9 @@ class TomographyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_count(self.photons_per_basis, "photons_per_basis must be an integer")
         if self.photons_per_basis < 1:
             raise ValueError("photons_per_basis must be >= 1")
-        check_count(self.photons_per_basis, "photons_per_basis must be an integer")
         if self.photons_per_basis > INT64_MAX:
             raise ValueError(
                 "tomography draws its counts as numpy int64, so photons_per_basis must be "

@@ -150,6 +150,18 @@ class TestDeltaFamilyMatchesMatrixPath:
             assert_angle_matches(rec.peak_angle_deg, rho, spectrum)
 
 
+@st.composite
+def siphon_sweeps(draw):
+    """(n_photons, siphon totals), the totals around 0, n/2 and n, half the
+    time made even and increasing so that most sweeps build."""
+    n = draw(st.one_of(st.integers(1, 20), st.integers(1, 10**6)))
+    total = st.one_of(st.integers(0, n + 2), st.integers(n - 2, n + 2))
+    totals = draw(st.lists(total, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        totals = sorted({t - t % 2 for t in totals})
+    return n, tuple(totals)
+
+
 class TestKernelChecks:
     def test_non_finite_components_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -160,7 +172,7 @@ class TestKernelChecks:
             bloch_summary(np.array([0.0, 0.8]), np.array([1.0, 0.8]))
 
     def test_bound_is_density_from_stokes_bound(self):
-        # |s| up to MAX_STOKES_NORM is physical for both, however it is built
+        # |s| up to 1 + 2 PSD_TOL is physical for both, however it is built
         s1 = 1.0 + 1e-10
         ps.density_from_stokes(ps.StokesVector(1.0, s1, 0.0, 0.0))
         assert bloch_summary(s1, 0.0).lambda_max == pytest.approx(1.0)
@@ -177,9 +189,21 @@ class TestKernelChecks:
         assert summary.purity == 1.0
         assert float(summary.principal_angle_deg) == pytest.approx(18.434948822922010)
 
-    def test_batch_siphon_excess_names_the_offending_point(self):
-        with pytest.raises(ValueError, match="siphon count 7 exceeds the 4 untouched"):
-            received_stokes(10, 30.0, 0, np.array([2, 6]), np.array([2, 7]), 45.0)
+    @settings(max_examples=300, deadline=None)
+    @given(siphon_sweeps(), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.integers(0, 1))
+    def test_a_sweep_that_builds_stays_in_the_siphon_bound(self, case, theta, phi, bit):
+        # received_stokes trusts its siphons: SweepSpec's bound on a total
+        # keeps both halves within ProtocolConfig's, and every received
+        # state inside the Poincare sphere
+        n, totals = case
+        try:
+            spec = ps.SweepSpec(theta, phi, bit, n, totals)
+        except ValueError:
+            return
+        half = np.array(spec.siphon_totals, dtype=np.int64) // 2
+        for h in half.tolist():
+            ps.ProtocolConfig(n, theta, bit, ps.EveConfig(h, h, phi, enabled=h > 0))
+        bloch_summary(*received_stokes(n, spec.theta_deg, bit, half, half, spec.phi_deg))
 
     def test_batch_equals_scalar_calls(self):
         siphons = np.arange(0, 51, 5)

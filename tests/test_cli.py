@@ -570,13 +570,35 @@ def test_help_states_the_defaults(capsys, monkeypatch, subcommand, flag, key):
     # the help text reads the default it states, so a changed one shows
     monkeypatch.setitem(cli.DEFAULTS, key, 4321)
     with pytest.raises(SystemExit) as exc:
-        main([subcommand, "-h"])
+        cli.build_parser().parse_args([subcommand, "-h"])
     assert exc.value.code == 0
     # one chunk per option: its name, metavar and help text
     chunks = " ".join(capsys.readouterr().out.split()).split(" --")
     [chunk] = [c for c in chunks if c.startswith(flag[2:] + " ")]
     assert chunk.endswith("(default 4321)")
     assert sum("(default 4321)" in c for c in chunks) == 1
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
+    built = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["protocol", "--theta", "30", "--bit", "0", "--photons", "10"]) == 0
+        assert main(["sweep", "--preset", "fig4", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--theta", "30", "--phi", "45", "--totals", "0,3",
+                     "--out", str(tmp_path)]) == 1
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert "decision=Bit0" in capsys.readouterr().out
 
 
 # manifest lines that record where a run came from, not a flag it read

@@ -163,8 +163,18 @@ def test_a_config_that_builds_runs(case):
     (lambda: ps.TomographyConfig(photons_per_basis=10.5),
      "photons_per_basis must be an integer, got 10.5"),
     (lambda: ps.SweepSpec(30.0, 45.0, n_photons=100.5), "n_photons must be an integer, got 100.5"),
+    # a count is type-checked before its range, so one that cannot be
+    # compared with a number is a ValueError, not the range test's TypeError
+    (lambda: ps.ProtocolConfig("5", 30.0, 0), "n_photons must be an integer, got '5'"),
+    (lambda: ps.ProtocolConfig(None, 30.0, 0), "n_photons must be an integer, got None"),
+    (lambda: ps.EveConfig("3", 0, 0, True), "siphon counts must be integers, got '3'"),
+    (lambda: ps.TomographyConfig("9"), "photons_per_basis must be an integer, got '9'"),
+    (lambda: ps.TomographyConfig(None), "photons_per_basis must be an integer, got None"),
+    (lambda: ps.SweepSpec(30, 45, n_photons=None), "n_photons must be an integer, got None"),
 ], ids=["n_photons-exact", "n_photons-sampled", "n_photons-bool", "siphon1", "siphon2",
-        "siphon2-bool", "photons_per_basis", "sweep-n_photons"])
+        "siphon2-bool", "photons_per_basis", "sweep-n_photons", "n_photons-str",
+        "n_photons-none", "siphon1-str", "photons_per_basis-str", "photons_per_basis-none",
+        "sweep-n_photons-none"])
 def test_photon_counts_must_be_integers(build, message):
     # refused when the config is built, before either mode runs it
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

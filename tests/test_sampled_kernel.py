@@ -4,7 +4,8 @@ replaced.
 The reference keeps a list of (count, angle) populations, takes each of
 Eve's siphons from Alice's population (the first in the list), builds the
 received matrix with ensemble_density, draws counts from born_probabilities,
-and reconstructs with np.linalg.eigh, clipping the negative eigenvalue and
+and keeps the raw estimate where DensityMatrix accepts it; otherwise it
+reconstructs with np.linalg.eigh, clipping the negative eigenvalue and
 renormalizing the trace. Counts must be identical,
 rho_received within TOL, reported values within TOL, and decisions equal
 wherever no value is within MARGIN of a decision threshold.
@@ -25,13 +26,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polarsim as ps
 from polarsim import tomography
 from polarsim.cli import main
-from polarsim.polarization import PSD_TOL
 from polarsim.tomography import sample_counts
 
 TOL = 1e-12
@@ -47,9 +47,14 @@ TOMOGRAPHY_SHA256 = "3685d706da7ceb321f619f2c305519f405ca072d1b20873b0394b6b0f95
 def reference_reconstruct(counts):
     s = ps.stokes_estimate(counts)
     raw = 0.5 * np.array([[1.0 + s.s3, s.s1 - 1j * s.s2], [s.s1 + 1j * s.s2, 1.0 - s.s3]])
-    eigvals, eigvecs = np.linalg.eigh(raw)
-    if eigvals.min() >= -PSD_TOL:
+    # kept exactly when DensityMatrix's own rule accepts it: eigh's smallest
+    # eigenvalue can sit on the other side of -PSD_TOL
+    try:
+        ps.DensityMatrix(raw)
         return raw
+    except ValueError:
+        pass
+    eigvals, eigvecs = np.linalg.eigh(raw)
     clipped = np.clip(eigvals, 0.0, None)
     clipped /= clipped.sum()
     return (eigvecs * clipped) @ eigvecs.conj().T
@@ -125,6 +130,11 @@ def sampled_configs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(sampled_configs())
+# an estimate on the PSD bound, which eigh keeps and DensityMatrix refuses
+@example(ps.ProtocolConfig(
+    n_photons=1, alice_angle_deg=0.0, bob_bit=0, mode="sampled",
+    tomography=ps.TomographyConfig(photons_per_basis=100_000, seed=3560),
+))
 def test_sampled_run_matches_the_stream_path(config):
     counts, outcome = run_with_counts(config)
     ref_counts, ref_rho = reference(config)
@@ -237,7 +247,7 @@ def sampled(n, s1=0, s2=0):
 
 def test_estimate_on_the_psd_bound_runs():
     # counts (100000, 0, 50000, 50000, 50001, 49999) give |r| equal to the
-    # float MAX_STOKES_NORM, whose raw matrix DensityMatrix rejects; the
+    # float 1 + 2e-10, whose raw matrix DensityMatrix rejects; the
     # reconstruction projects it onto the sphere instead of raising
     outcome = ps.run_protocol(ps.ProtocolConfig(
         n_photons=1, alice_angle_deg=0.0, bob_bit=0, mode="sampled",

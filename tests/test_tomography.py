@@ -193,7 +193,7 @@ class TestReconstruct:
             assert np.linalg.eigvalsh(rho_hat.matrix).min() >= -ps.polarization.PSD_TOL
 
     def test_keep_or_project_rule_is_density_matrix_rule(self):
-        # Stokes vectors around |r| = MAX_STOKES_NORM, some with a zero
+        # Stokes vectors around |r| = 1 + 2 PSD_TOL, some with a zero
         # component: outside_poincare_sphere refuses exactly the matrices
         # DensityMatrix refuses
         rng = random.Random(8)
