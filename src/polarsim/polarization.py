@@ -25,14 +25,16 @@ DEGENERACY_TOL = 1e-9
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+def is_count(value) -> bool:
+    """True iff value is a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_count(value, message: str) -> None:
-    """Raise ValueError(f"{message}, got {value!r}") unless value is a Python
-    or numpy integer; a bool is not a photon count."""
+    """Raise ValueError(f"{message}, got {value!r}") unless is_count(value)."""
     # configs are built per protocol run: the type test passes a plain int
-    # for a fraction of the cost of the isinstance tests
-    if type(value) is not int and (
-        not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-    ):
+    # for a fraction of the cost of is_count
+    if type(value) is not int and not is_count(value):
         raise ValueError(f"{message}, got {value!r}")
 
 
@@ -184,7 +186,9 @@ def rotate_ensemble(ens: PhotonEnsemble, delta_degrees: float) -> PhotonEnsemble
 
 
 def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2), in [0.5, 1] for a qubit; 1 iff pure."""
+    """tr(rho^2), in [0.5, 1] for a qubit; 1 iff pure: the matrix-path
+    reference that tests compare stokes_purity with and the benchmark tracer
+    names."""
     m00, m01, m10, m11 = rho.matrix.ravel().tolist()
     return (m00 * m00 + m01 * m10 + m10 * m01 + m11 * m11).real
 
@@ -291,7 +295,9 @@ def stokes_spectrum(s: StokesVector) -> Spectrum:
 
 
 def matrix_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Frobenius distance between two density matrices."""
+    """Frobenius distance between two density matrices: the matrix-path
+    reference that tests compare the protocol's Stokes distances with and the
+    benchmark tracer names."""
     entries = zip(a.matrix.ravel().tolist(), b.matrix.ravel().tolist())
     return math.hypot(*[abs(x - y) for x, y in entries])
 

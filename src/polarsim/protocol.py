@@ -1,12 +1,12 @@
 """Ping-pong polarization protocol with intensity and state tracking.
 
 One transmission: Alice prepares n photons at angle theta and keeps two
-hypothesis densities (rotation by 0 deg or 90 deg). Eve may siphon Alice's
+hypotheses (her state rotated by 0 deg or 90 deg). Eve may siphon Alice's
 photons at each channel stage and inject the same number at her own angle
 phi, which keeps the intensity constant. Bob encodes his bit by rotating
-everything 0 or 90 deg. Alice then compares the received density matrix
-against both hypotheses and its purity to decode the bit or declare the
-eavesdropper.
+everything 0 or 90 deg. Alice then reads the purity of the received density
+matrix and its distances to both hypotheses off its Stokes vector, to decode
+the bit or declare the eavesdropper.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -25,11 +25,10 @@ from .polarization import (
     check_count,
     density_of_pure,
     ensemble_density,
+    is_count,
     linear_stokes,
-    matrix_distance,
     normalize_angle,
     pure_state,
-    purity,
     report_line,
     stokes_from_density,
     stokes_purity,
@@ -75,6 +74,8 @@ class EveConfig:
     def __post_init__(self) -> None:
         check_count(self.siphon_stage1, "siphon counts must be integers")
         check_count(self.siphon_stage2, "siphon counts must be integers")
+        if type(self.enabled) is not bool:
+            raise ValueError(f"enabled must be a bool, got {self.enabled!r}")
         if self.siphon_stage1 < 0 or self.siphon_stage2 < 0:
             raise ValueError("siphon counts must be non-negative")
         if not self.enabled and (self.siphon_stage1 or self.siphon_stage2):
@@ -99,7 +100,7 @@ class ProtocolConfig:
         check_count(self.n_photons, "n_photons must be an integer")
         if self.n_photons < 1:
             raise ValueError("n_photons must be positive")
-        if self.bob_bit not in (0, 1):
+        if not is_count(self.bob_bit) or self.bob_bit not in (0, 1):
             raise ValueError("bob_bit must be 0 or 1")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
@@ -210,32 +211,15 @@ def decision_codes(purity, dist_h0, dist_h90, eps_dist: float, eps_purity: float
     return np.where(eve, EVE_CODE, dist_h0 > dist_h90)
 
 
-def _decision(
+def decide(
     purity: float, dist_h0: float, dist_h90: float, eps_dist: float, eps_purity: float
 ) -> Decision:
-    """decision_codes on one state, in Python arithmetic, which costs less
-    than numpy's on scalars."""
+    """Alice's decision rule on one received state: its purity and Frobenius
+    distances to her two hypotheses. It is decision_codes in Python
+    arithmetic, which costs less than numpy's on scalars."""
     if purity < 1.0 - eps_purity or (dist_h0 > eps_dist and dist_h90 > eps_dist):
         return Decision.EVE_DETECTED
     return Decision.BIT1 if dist_h0 > dist_h90 else Decision.BIT0
-
-
-def decide(
-    rho_received: DensityMatrix,
-    rho_h0: DensityMatrix,
-    rho_h90: DensityMatrix,
-    eps_dist: float,
-    eps_purity: float,
-) -> Decision:
-    """Alice's decision rule on density matrices: their purity and Frobenius
-    distances."""
-    return _decision(
-        purity(rho_received),
-        matrix_distance(rho_received, rho_h0),
-        matrix_distance(rho_received, rho_h90),
-        eps_dist,
-        eps_purity,
-    )
 
 
 def intensity_check(stage_intensities: Tuple[int, ...]) -> bool:
@@ -248,13 +232,10 @@ def intensity_check(stage_intensities: Tuple[int, ...]) -> bool:
     return all(count == first for count in stage_intensities)
 
 
-def _outcome(
-    config: ProtocolConfig, rho_received: DensityMatrix, decision: Optional[Decision] = None
-) -> ProtocolOutcome:
+def _outcome(config: ProtocolConfig, rho_received: DensityMatrix) -> ProtocolOutcome:
     """Alice's report, read off the Stokes vector r of the received matrix:
     purity (1 + |r|^2)/2, the Frobenius distances |r - r_h|/sqrt(2) to her
-    two hypotheses and the closed-form spectrum. Without a given decision,
-    she decides on this read-out."""
+    two hypotheses and the closed-form spectrum, and her decision on them."""
     s = stokes_from_density(rho_received)
     _, s1, s2, s3 = s
     theta = config.alice_angle_deg
@@ -265,11 +246,9 @@ def _outcome(
     purity_received = stokes_purity(s)
     dist_h0 = math.sqrt((s1 - h1) ** 2 + s2 * s2 + (s3 - h3) ** 2) / math.sqrt(2.0)
     dist_h90 = math.sqrt((s1 - g1) ** 2 + s2 * s2 + (s3 - g3) ** 2) / math.sqrt(2.0)
-    if decision is None:
-        decision = _decision(purity_received, dist_h0, dist_h90, *config.resolved_thresholds())
     n = config.n_photons
     return ProtocolOutcome(
-        decision=decision,
+        decision=decide(purity_received, dist_h0, dist_h90, *config.resolved_thresholds()),
         alice_angle_deg=theta,
         rho_received=rho_received,
         purity_received=purity_received,
@@ -283,21 +262,16 @@ def _outcome(
 
 def run_protocol(config: ProtocolConfig) -> ProtocolOutcome:
     """One full transmission and Alice's decision. Both modes receive the same
-    populations: exact mode decides on their density matrix with the public
-    rule, sampled mode on the reconstruction from their measured counts."""
+    populations and get one matrix from them: exact mode their density matrix,
+    sampled mode the reconstruction from their measured counts. Alice reads
+    out and decides on that matrix the same way in both."""
     n, eve, theta = config.n_photons, config.eve, config.alice_angle_deg
     populations = _received_populations(
         n, theta, config.bob_bit, eve.siphon_stage1, eve.siphon_stage2, eve.injection_angle_deg
     )
     if config.mode == "sampled":
-        counts = measure(populations, n, config.tomography)
-        return _outcome(config, reconstruct(counts))
-    # ensemble_density skips the empty populations
-    rho_received = ensemble_density(PhotonEnsemble(populations))
-    decision = decide(
-        rho_received,
-        density_of_pure(pure_state(theta)),
-        density_of_pure(pure_state(theta + 90.0)),
-        *config.resolved_thresholds(),
-    )
-    return _outcome(config, rho_received, decision)
+        rho_received = reconstruct(measure(populations, n, config.tomography))
+    else:
+        # ensemble_density skips the empty populations
+        rho_received = ensemble_density(PhotonEnsemble(populations))
+    return _outcome(config, rho_received)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import re
 
 import numpy as np
@@ -9,6 +11,14 @@ from hypothesis import strategies as st
 import polarsim as ps
 from polarsim import protocol
 from polarsim.polarization import DensityMatrix
+
+# sha256 of the key=value blocks of golden_configs(mode), joined by blank
+# lines, recorded while exact mode still decided on the matrix-path purity
+# and Frobenius distances
+RUN_PROTOCOL_SHA256 = {
+    "exact": "2dae8f39433ecc6d886abef95bd3268f05ca44a023b12920604f861dbfcde36e",
+    "sampled": "b5b4f05cba74c1648556be450b0092618f15f74390ac4db4df7989e23a85a96a",
+}
 
 MIX = DensityMatrix(np.array([[0.7, 0.44641016151377546], [0.44641016151377546, 0.3]]))
 
@@ -28,23 +38,30 @@ def config(theta=30.0, bit=0, n=100, eve=None, mode="exact", seed=0, ppb=100_000
     )
 
 
+def decide_on(received, h0, h90, eps_dist, eps_purity):
+    """decide on a received matrix's purity and Frobenius distances to two
+    hypothesis matrices, read off by the matrix-path references."""
+    return ps.decide(ps.purity(received), ps.matrix_distance(received, h0),
+                     ps.matrix_distance(received, h90), eps_dist, eps_purity)
+
+
 class TestDecide:
     def test_mixed_state_is_detected(self):
-        d = ps.decide(MIX, rho(30), rho(120), 1e-6, 1e-6)
+        d = decide_on(MIX, rho(30), rho(120), 1e-6, 1e-6)
         assert d is ps.Decision.EVE_DETECTED
 
     def test_exact_match_bit0(self):
-        assert ps.decide(rho(30), rho(30), rho(120), 1e-6, 1e-6) is ps.Decision.BIT0
+        assert decide_on(rho(30), rho(30), rho(120), 1e-6, 1e-6) is ps.Decision.BIT0
 
     def test_exact_match_bit1(self):
-        assert ps.decide(rho(120), rho(30), rho(120), 1e-6, 1e-6) is ps.Decision.BIT1
+        assert decide_on(rho(120), rho(30), rho(120), 1e-6, 1e-6) is ps.Decision.BIT1
 
     def test_pure_but_far_from_both_is_detected(self):
-        assert ps.decide(rho(60), rho(30), rho(120), 1e-6, 1e-6) is ps.Decision.EVE_DETECTED
+        assert decide_on(rho(60), rho(30), rho(120), 1e-6, 1e-6) is ps.Decision.EVE_DETECTED
 
     def test_tie_breaks_to_bit0(self):
-        # rho(45) is exactly equidistant from rho(0) and rho(90) in floats
-        assert ps.decide(rho(45), rho(0), rho(90), 2.0, 1e-6) is ps.Decision.BIT0
+        # rho(90) is exactly equidistant from rho(45) and rho(135) in floats
+        assert decide_on(rho(90), rho(45), rho(135), 2.0, 1e-6) is ps.Decision.BIT0
 
 
 @st.composite
@@ -65,9 +82,9 @@ def decision_inputs(draw):
 @example((1.0 - 1e-6, 0.0, 1.0, 1e-9, 1e-6))
 @example((1.0, 0.25, 0.25, 0.5, 1e-6))
 def test_scalar_decision_matches_decision_codes(inputs):
-    # decide and _outcome decide with the scalar rule, the sweeps with the
-    # array rule
-    decision = protocol._decision(*inputs)
+    # run_protocol decides with the scalar rule, the sweeps with the array
+    # rule
+    decision = protocol.decide(*inputs)
     assert decision is protocol.DECISIONS[int(protocol.decision_codes(*inputs))]
     _, dist_h0, dist_h90, _, _ = inputs
     if dist_h0 == dist_h90 and decision is not ps.Decision.EVE_DETECTED:
@@ -96,6 +113,14 @@ class TestEveConfig:
         with pytest.raises(ValueError, match="non-negative"):
             ps.EveConfig(*siphons, 45.0, enabled=True)
 
+    @pytest.mark.parametrize("enabled", ["no", 1, 0, None, np.bool_(True)],
+                             ids=["str", "one", "zero", "none", "numpy-bool"])
+    def test_enabled_must_be_a_bool(self, enabled):
+        # a truthy non-bool such as "no" would switch the attack on
+        message = f"enabled must be a bool, got {enabled!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ps.EveConfig(1, 0, 0.0, enabled=enabled)
+
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_enabled_without_siphons_is_no_attack(self, mode):
         idle = ps.run_protocol(config(eve=ps.EveConfig(0, 0, 45.0, enabled=True), mode=mode))
@@ -107,8 +132,12 @@ class TestProtocolConfig:
     @pytest.mark.parametrize("field, value, message", [
         ("n", 0, "n_photons must be positive"),
         ("bit", 2, "bob_bit must be 0 or 1"),
+        # 0 and 1 by value, but a bit is an integer: a bool or a float would
+        # be recorded as True or 1.0, which --bit cannot read back
+        ("bit", True, "bob_bit must be 0 or 1"),
+        ("bit", 1.0, "bob_bit must be 0 or 1"),
         ("mode", "fast", "mode must be 'exact' or 'sampled'"),
-    ], ids=["n_photons", "bob_bit", "mode"])
+    ], ids=["n_photons", "bob_bit", "bob_bit-bool", "bob_bit-float", "mode"])
     def test_invalid_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             config(**{field: value})
@@ -333,6 +362,52 @@ def test_hypotheses_are_alices_state_and_its_rotation(mode, theta):
     )
     assert np.array_equal(out.rho_hypothesis_0.matrix, rho(theta).matrix)
     assert np.array_equal(out.rho_hypothesis_90.matrix, rho(theta + 90.0).matrix)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_one_density_matrix_per_run(monkeypatch, mode):
+    # the received matrix is the only one a run builds: both modes read out
+    # and decide on its Stokes vector, with no hypothesis matrices
+    built = []
+    original = DensityMatrix.__post_init__
+
+    def spy(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", spy)
+    for bit, eve in [(0, None), (1, ps.EveConfig(10, 10, 45.0, enabled=True))]:
+        built.clear()
+        outcome = ps.run_protocol(config(bit=bit, eve=eve, mode=mode))
+        assert len(built) == 1 and built[0] is outcome.rho_received
+
+
+def golden_configs(mode):
+    """2,000 seeded configs: n from 1 to 10^5, angles on the half-degree grid
+    or anywhere in (-360, 360), Eve in about 80% with any siphons the bound
+    allows, injecting at theta, at theta + 90, on the grid or anywhere."""
+    rng = random.Random(f"run-protocol-golden:{mode}")
+    configs = []
+    for _ in range(2000):
+        n = round(10 ** rng.uniform(0.0, 5.0))
+        theta = 0.5 * rng.randrange(360) if rng.random() < 0.5 else rng.uniform(-360.0, 360.0)
+        bit = rng.randrange(2)
+        eve = ps.EveConfig.disabled()
+        if rng.random() < 0.8:
+            phi = (theta, theta + 90.0, 0.5 * rng.randrange(360), rng.uniform(-360.0, 360.0))[
+                rng.randrange(4)]
+            s1 = rng.randint(0, n)
+            s2 = rng.randint(0, n - s1)
+            eve = ps.EveConfig(s1, s2, phi, enabled=True)
+        tomography = ps.TomographyConfig(rng.choice((10, 1_000, 100_000)), rng.getrandbits(32))
+        configs.append(ps.ProtocolConfig(n, theta, bit, eve, mode, tomography))
+    return configs
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_run_protocol_output_golden(mode):
+    text = "\n\n".join(ps.run_protocol(c).to_key_value_block() for c in golden_configs(mode))
+    assert hashlib.sha256(text.encode()).hexdigest() == RUN_PROTOCOL_SHA256[mode]
 
 
 class TestOutcomeSerialization:

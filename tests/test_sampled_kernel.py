@@ -165,9 +165,7 @@ def test_sampled_run_matches_the_stream_path(config):
     eps_d, eps_p = config.resolved_thresholds()
     near = [abs(purity - (1.0 - eps_p)), abs(d0 - eps_d), abs(d90 - eps_d), abs(d0 - d90)]
     if min(near) >= MARGIN:
-        h0 = ps.density_of_pure(ps.pure_state(theta))
-        h90 = ps.density_of_pure(ps.pure_state(theta + 90.0))
-        assert outcome.decision is ps.decide(ref_rho, h0, h90, eps_d, eps_p)
+        assert outcome.decision is ps.decide(purity, d0, d90, eps_d, eps_p)
 
 
 @pytest.mark.parametrize("counts, pure", [

@@ -57,10 +57,12 @@ class TestSweepSpec:
     @pytest.mark.parametrize("fields, message", [
         ({"bob_bit": 0.5}, "bob_bit must be 0 or 1"),
         ({"bob_bit": 2}, "bob_bit must be 0 or 1"),
+        ({"bob_bit": True}, "bob_bit must be 0 or 1"),
+        ({"bob_bit": 1.0}, "bob_bit must be 0 or 1"),
         ({"mode": "foo"}, "mode must be 'exact' or 'sampled', got 'foo'"),
         ({"mode": "sampled", "seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"mode": "sampled", "seed": -1}, "seed must be non-negative, got -1"),
-    ], ids=["bit-half", "bit-2", "mode", "seed-float", "seed-negative"])
+    ], ids=["bit-half", "bit-2", "bit-bool", "bit-float", "mode", "seed-float", "seed-negative"])
     def test_transmission_checked_by_its_protocol_config(self, fields, message):
         # the spec's base ProtocolConfig refuses what a run would misread
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
