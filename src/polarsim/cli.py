@@ -50,24 +50,14 @@ from .tomography import (
 )
 
 
-def _write_manifest(
-    path: Path,
-    subcommand: str,
-    params: Dict[str, object],
-    outputs: Sequence[Path],
-    started: float,
-) -> None:
+def _write_manifest(path: Path, subcommand: str, params: Dict[str, object],
+                    outputs: Sequence[Path], started: float) -> None:
     """Write `params`, the flags the run read (key `theta_deg` is flag
     `--theta`), with the run's provenance."""
-    lines = [
-        f"spec_revision={__version__}",
-        f"subcommand={subcommand}",
-    ]
-    for key in sorted(params):
-        lines.append(f"{key}={params[key]}")
+    lines = [f"spec_revision={__version__}", f"subcommand={subcommand}"]
+    lines += [f"{key}={params[key]}" for key in sorted(params)]
     lines.append(f"rng_algorithm={RNG_ALGORITHM}")
-    for out in outputs:
-        lines.append(f"output={out}")
+    lines += [f"output={out}" for out in outputs]
     lines.append(f"duration_s={time.monotonic() - started:.3f}")
     path.write_text("\n".join(lines) + "\n")
 

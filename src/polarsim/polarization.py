@@ -38,6 +38,12 @@ def check_count(value, message: str) -> None:
         raise ValueError(f"{message}, got {value!r}")
 
 
+def check_angle(value) -> None:
+    """Raise ValueError unless value is a Python or numpy int or float; a bool is not."""
+    if not (type(value) is float or isinstance(value, (float, np.floating)) or is_count(value)):
+        raise ValueError(f"polarization angle must be a real number, got {value!r}")
+
+
 def normalize_angle(raw_degrees: float) -> float:
     """Reduce an angle in degrees to the canonical range [0, 180)."""
     if not math.isfinite(raw_degrees):
@@ -82,9 +88,8 @@ class DensityMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {m.shape}")
-        # the checks run on Python complex numbers, which cost less than
-        # numpy scalars
-        m00, m01, m10, m11 = m.ravel().tolist()
+        # the checks run on Python complex numbers, cheaper than numpy scalars
+        (m00, m01), (m10, m11) = m.tolist()
         if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
             raise ValueError("density matrix entries must be finite")
         if abs(m01 - m10.conjugate()) > HERMITICITY_TOL:
@@ -101,8 +106,7 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigen-decomposition of a density matrix, read as intensities plus
     polarization axes. Angles are None when the spectrum is degenerate
     (eigenvectors are arbitrary there)."""
@@ -123,9 +127,11 @@ class PhotonEnsemble:
     def __post_init__(self) -> None:
         canonical = []
         for count, angle in self.components:
-            check_count(count, "photon counts must be integers")
+            if type(count) is not int:
+                check_count(count, "photon counts must be integers")
             if count < 0:
                 raise ValueError(f"photon counts must be non-negative, got {count}")
+            check_angle(angle)
             canonical.append((int(count), normalize_angle(angle)))
         object.__setattr__(self, "components", tuple(canonical))
 
@@ -157,11 +163,15 @@ def mixture_entries(
     order and skipping empty components: the one composition of a photon
     mixture, which ensemble_density and sampled mode's Born probabilities
     both read, so the two give the same floats."""
+    if total <= 0:
+        raise ValueError("ensemble has no photons")
     m00 = m01 = m11 = 0.0
     for count, angle in components:
         if count == 0:
             continue
-        a0, a1 = pure_state(angle)
+        # an angle already in [0, 180) is not reduced again
+        theta = math.radians(angle if 0.0 <= angle < 180.0 else normalize_angle(angle))
+        a0, a1 = math.cos(theta), math.sin(theta)
         weight = count / total
         m00 += weight * (a0 * a0)
         m01 += weight * (a0 * a1)
@@ -171,11 +181,8 @@ def mixture_entries(
 
 def ensemble_density(ens: PhotonEnsemble) -> DensityMatrix:
     """Convex combination sum_i p_i |psi_i><psi_i| with p_i = count_i / total."""
-    total = ens.total
-    if total <= 0:
-        raise ValueError("ensemble has no photons")
-    m00, m01, m11 = mixture_entries(ens.components, total)
-    return DensityMatrix(np.array([[m00, m01], [m01, m11]], dtype=complex))
+    m00, m01, m11 = mixture_entries(ens.components, ens.total)
+    return DensityMatrix(((m00, m01), (m01, m11)))
 
 
 def rotate_ensemble(ens: PhotonEnsemble, delta_degrees: float) -> PhotonEnsemble:
@@ -210,9 +217,8 @@ def stokes_from_density(rho: DensityMatrix) -> StokesVector:
 
 def stokes_matrix(s: StokesVector) -> np.ndarray:
     """The unvalidated matrix (1/2) sum_i S_i sigma_i of a Stokes vector."""
-    return 0.5 * np.array(
-        [[s.s0 + s.s3, s.s1 - 1j * s.s2], [s.s1 + 1j * s.s2, s.s0 - s.s3]], dtype=complex
-    )
+    return np.array([[0.5 * (s.s0 + s.s3), 0.5 * (s.s1 - 1j * s.s2)],
+                     [0.5 * (s.s1 + 1j * s.s2), 0.5 * (s.s0 - s.s3)]], dtype=complex)
 
 
 def outside_poincare_sphere(s: StokesVector) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .polarization import (
     DensityMatrix,
     PhotonEnsemble,
     Spectrum,
+    check_angle,
     check_count,
     density_of_pure,
     ensemble_density,
@@ -29,7 +30,6 @@ from .polarization import (
     linear_stokes,
     normalize_angle,
     pure_state,
-    report_line,
     stokes_from_density,
     stokes_purity,
     stokes_spectrum,
@@ -40,7 +40,17 @@ PROTOCOL_CSV_HEADER = (
     "decision,purity,dist_h0,dist_h90,lambda_max,principal_angle_deg,"
     "intensity_sent,intensity_after_stage1,intensity_after_stage2"
 )
-_CSV_COLUMNS = PROTOCOL_CSV_HEADER.split(",")
+# (key, %-format) of each report value, in the order of the key=value block
+# and of PROTOCOL_CSV_HEADER; the angle comes formatted, empty when undefined
+_REPORT_FIELDS = (
+    ("decision", "%s"), ("purity", "%.6f"), ("dist_h0", "%.6f"), ("dist_h90", "%.6f"),
+    ("lambda_max", "%.6f"), ("lambda_min", "%.6f"), ("principal_angle_deg", "%s"),
+    ("intensity_sent", "%s"), ("intensity_after_stage1", "%s"), ("intensity_after_stage2", "%s"),
+)
+_KEY_VALUE_TEMPLATE = "\n".join(key + "=" + fmt for key, fmt in _REPORT_FIELDS)
+# %.0s takes a value that has no CSV column and prints nothing
+_CSV_TEMPLATE = "".join(("," + fmt if key in PROTOCOL_CSV_HEADER.split(",") else "%.0s")
+                        for key, fmt in _REPORT_FIELDS)[1:]
 
 
 class Decision(enum.Enum):
@@ -80,6 +90,7 @@ class EveConfig:
             raise ValueError("siphon counts must be non-negative")
         if not self.enabled and (self.siphon_stage1 or self.siphon_stage2):
             raise ValueError("a disabled Eve siphons nothing; set enabled=True to siphon")
+        check_angle(self.injection_angle_deg)
         object.__setattr__(self, "injection_angle_deg", normalize_angle(self.injection_angle_deg))
 
     @classmethod
@@ -100,10 +111,11 @@ class ProtocolConfig:
         check_count(self.n_photons, "n_photons must be an integer")
         if self.n_photons < 1:
             raise ValueError("n_photons must be positive")
-        if not is_count(self.bob_bit) or self.bob_bit not in (0, 1):
+        if not (type(self.bob_bit) is int or is_count(self.bob_bit)) or self.bob_bit not in (0, 1):
             raise ValueError("bob_bit must be 0 or 1")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        check_angle(self.alice_angle_deg)
         object.__setattr__(self, "alice_angle_deg", normalize_angle(self.alice_angle_deg))
         # Eve siphons only Alice's untouched photons (see _received_populations);
         # this is a run's siphon bound, and SweepSpec's totals keep within it
@@ -145,28 +157,21 @@ class ProtocolOutcome:
         """What Alice expects back for bit 1: her state rotated by 90 deg."""
         return density_of_pure(pure_state(self.alice_angle_deg + 90.0))
 
-    def _report_lines(self) -> List[str]:
-        """Every reported value as a key=value line; the one table both
-        renderings read."""
-        return [
-            f"decision={self.decision.value}",
-            report_line("purity", self.purity_received),
-            report_line("dist_h0", self.dist_to_h0),
-            report_line("dist_h90", self.dist_to_h90),
-            report_line("lambda_max", self.spectrum.lambda_max),
-            report_line("lambda_min", self.spectrum.lambda_min),
-            report_line("principal_angle_deg", self.spectrum.principal_angle_deg),
-            f"intensity_sent={self.stage_intensities[0]}",
-            f"intensity_after_stage1={self.stage_intensities[1]}",
-            f"intensity_after_stage2={self.stage_intensities[2]}",
-        ]
+    def _report_values(self) -> tuple:
+        """The values of _REPORT_FIELDS, the one table both renderings read."""
+        spectrum, angle = self.spectrum, self.spectrum.principal_angle_deg
+        return (
+            self.decision.value, self.purity_received, self.dist_to_h0, self.dist_to_h90,
+            spectrum.lambda_max, spectrum.lambda_min, "" if angle is None else "%.6f" % angle,
+            *self.stage_intensities,
+        )
 
+    # as format_decimal, a value that rounds to zero prints without a sign
     def to_key_value_block(self) -> str:
-        return "\n".join(self._report_lines())
+        return (_KEY_VALUE_TEMPLATE % self._report_values()).replace("=-0.000000", "=0.000000")
 
     def to_csv_row(self) -> str:
-        fields = dict(line.split("=", 1) for line in self._report_lines())
-        return ",".join([fields[column] for column in _CSV_COLUMNS])
+        return (_CSV_TEMPLATE % self._report_values()).replace(",-0.000000", ",0.000000")
 
 
 def _received_populations(n, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float):

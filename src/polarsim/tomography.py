@@ -13,7 +13,7 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
@@ -66,9 +66,9 @@ class MeasurementCounts:
     n_l: int
 
     def __post_init__(self) -> None:
-        for name in ("n_h", "n_v", "n_d", "n_a", "n_r", "n_l"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if min(self.n_h, self.n_v, self.n_d, self.n_a, self.n_r, self.n_l) < 0:
+            name = next(f.name for f in fields(self) if getattr(self, f.name) < 0)
+            raise ValueError(f"{name} must be non-negative")
 
     def to_csv_row(self) -> str:
         return f"{self.n_h},{self.n_v},{self.n_d},{self.n_a},{self.n_r},{self.n_l}"
@@ -124,8 +124,6 @@ def _born_probabilities(populations, total: int) -> Tuple[float, float, float]:
 def measure(populations, total: int, config: TomographyConfig) -> MeasurementCounts:
     """Seeded tomography of linear populations (count, angle) totalling `total`
     photons: simulate_counts' counts for their mixture, without its matrix."""
-    if total <= 0:
-        raise ValueError("ensemble has no photons")
     rng = np.random.default_rng(config.seed)
     return sample_counts(_born_probabilities(populations, total), config.photons_per_basis, rng)
 

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polarsim as ps
-from polarsim.polarization import DensityMatrix, render_matrix, stokes_spectrum
+from polarsim.polarization import DensityMatrix, mixture_entries, render_matrix, stokes_spectrum
 
 SQRT3 = math.sqrt(3.0)
 
@@ -146,6 +146,23 @@ class TestEnsembleDensity:
     def test_fractional_counts_rejected(self):
         with pytest.raises(ValueError, match="integer"):
             ps.ensemble([(10.5, 30)])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(min_value=-720.0, max_value=720.0, exclude_min=True, exclude_max=True))
+    @example(0.0)
+    @example(180.0)
+    @example(-0.0)
+    def test_mixture_entries_reduce_only_what_needs_it(self, angle):
+        # an angle already in [0, 180) skips the reduction, and gives the
+        # floats its reduced twin gives, alone or beside another component
+        reduced = ps.normalize_angle(angle)
+        for mix in (lambda a: ([(3, a)], 3), lambda a: ([(3, a), (0, a), (5, 45.0)], 8)):
+            assert repr(mixture_entries(*mix(angle))) == repr(mixture_entries(*mix(reduced)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mixture_entries_refuse_non_finite_angles(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            mixture_entries([(1, bad)], 1)
 
 
 class TestRotateEnsemble:

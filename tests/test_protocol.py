@@ -19,6 +19,12 @@ RUN_PROTOCOL_SHA256 = {
     "exact": "2dae8f39433ecc6d886abef95bd3268f05ca44a023b12920604f861dbfcde36e",
     "sampled": "b5b4f05cba74c1648556be450b0092618f15f74390ac4db4df7989e23a85a96a",
 }
+# sha256 of their CSV rows, joined by newlines, recorded while to_csv_row
+# still parsed the key=value lines back into columns
+RUN_PROTOCOL_CSV_SHA256 = {
+    "exact": "2310ca5c7fb63d9e419311c2a605abf26a236ef381f638963d2571b7bfd327c1",
+    "sampled": "69bb5cd604556c7ebe9ec6a7466d0beb49d8d43607a5bbf91433b8a6a6043ada",
+}
 
 MIX = DensityMatrix(np.array([[0.7, 0.44641016151377546], [0.44641016151377546, 0.3]]))
 
@@ -208,6 +214,36 @@ def test_photon_counts_must_be_integers(build, message):
     # refused when the config is built, before either mode runs it
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+ANGLE_BUILDS = {
+    "theta": lambda angle: config(theta=angle),
+    "eve-angle": lambda angle: ps.EveConfig(1, 0, angle, enabled=True),
+    "ensemble": lambda angle: ps.PhotonEnsemble(((1, angle),)),
+    "sweep-theta": lambda angle: ps.SweepSpec(angle, 45.0),
+    "sweep-phi": lambda angle: ps.SweepSpec(30.0, angle),
+}
+
+
+@pytest.mark.parametrize("build", ANGLE_BUILDS.values(), ids=ANGLE_BUILDS.keys())
+@pytest.mark.parametrize(
+    "angle", [True, False, np.bool_(True), "30", None, 30 + 0j, np.complex128(30)],
+    ids=["bool", "false", "numpy-bool", "str", "none", "complex", "numpy-complex"],
+)
+def test_angles_must_be_real_numbers(build, angle):
+    # a bool once ran as 1 or 0 degrees, and a string or None raised TypeError
+    message = f"polarization angle must be a real number, got {angle!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(angle)
+
+
+@pytest.mark.parametrize("angle", [30, 30.0, np.int64(30), np.float32(30.0), np.float64(210.0)],
+                         ids=["int", "float", "numpy-int", "numpy-float32", "numpy-float64"])
+def test_real_angles_accepted(angle):
+    assert config(theta=angle).alice_angle_deg == 30.0
+    assert ps.EveConfig(1, 0, angle, enabled=True).injection_angle_deg == 30.0
+    assert ps.PhotonEnsemble(((1, angle),)).components == ((1, 30.0),)
+    assert ps.SweepSpec(angle, angle).phi_deg == 30.0
 
 
 def test_numpy_integer_counts_accepted():
@@ -406,8 +442,69 @@ def golden_configs(mode):
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 def test_run_protocol_output_golden(mode):
-    text = "\n\n".join(ps.run_protocol(c).to_key_value_block() for c in golden_configs(mode))
+    outcomes = [ps.run_protocol(c) for c in golden_configs(mode)]
+    text = "\n\n".join(outcome.to_key_value_block() for outcome in outcomes)
     assert hashlib.sha256(text.encode()).hexdigest() == RUN_PROTOCOL_SHA256[mode]
+    rows = "\n".join(outcome.to_csv_row() for outcome in outcomes)
+    assert hashlib.sha256(rows.encode()).hexdigest() == RUN_PROTOCOL_CSV_SHA256[mode]
+
+
+def reference_format_decimal(x):
+    text = f"{x:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
+def reference_report_lines(outcome):
+    """The key=value lines of a report, one format call per value: the
+    renderer that to_key_value_block and to_csv_row replaced."""
+
+    def line(key, value):
+        return key + "=" + ("" if value is None else reference_format_decimal(value))
+
+    return [
+        f"decision={outcome.decision.value}",
+        line("purity", outcome.purity_received),
+        line("dist_h0", outcome.dist_to_h0),
+        line("dist_h90", outcome.dist_to_h90),
+        line("lambda_max", outcome.spectrum.lambda_max),
+        line("lambda_min", outcome.spectrum.lambda_min),
+        line("principal_angle_deg", outcome.spectrum.principal_angle_deg),
+        f"intensity_sent={outcome.stage_intensities[0]}",
+        f"intensity_after_stage1={outcome.stage_intensities[1]}",
+        f"intensity_after_stage2={outcome.stage_intensities[2]}",
+    ]
+
+
+def reference_csv_row(outcome):
+    fields = dict(line.split("=", 1) for line in reference_report_lines(outcome))
+    return ",".join(fields[column] for column in protocol.PROTOCOL_CSV_HEADER.split(","))
+
+
+# values on both sides of the six-decimal rounding edges, signed zeros and
+# the non-finite floats, beside any float
+REPORT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, 5.000001e-7, -5.000001e-7,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    decision=st.sampled_from(ps.Decision),
+    values=st.tuples(*[REPORT_VALUES] * 5),
+    angle=st.one_of(st.none(), REPORT_VALUES),
+    intensities=st.tuples(*[st.integers(0, 10**12)] * 3),
+)
+@example(ps.Decision.BIT0, (-0.0, -4e-7, -5e-7, 5.000001e-7, -0.0), None, (1, 1, 1))
+def test_renderings_match_the_line_renderer(decision, values, angle, intensities):
+    purity, dist_h0, dist_h90, lambda_max, lambda_min = values
+    outcome = protocol.ProtocolOutcome(
+        decision, 30.0, MIX, purity, dist_h0, dist_h90,
+        ps.Spectrum(lambda_max, lambda_min, angle, None), intensities,
+    )
+    assert outcome.to_key_value_block() == "\n".join(reference_report_lines(outcome))
+    assert outcome.to_csv_row() == reference_csv_row(outcome)
 
 
 class TestOutcomeSerialization:

@@ -111,6 +111,16 @@ def test_seed_must_be_non_negative():
         ps.TomographyConfig(seed=-1)
 
 
+@pytest.mark.parametrize("index", range(6))
+def test_negative_count_is_named(index):
+    # the first negative count names the error, however many there are
+    counts = [10] * 6
+    counts[index:] = [-1] * (6 - index)
+    name = ("n_h", "n_v", "n_d", "n_a", "n_r", "n_l")[index]
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+        ps.MeasurementCounts(*counts)
+
+
 def test_numpy_and_large_seeds_are_accepted():
     for seed in (np.int64(7), np.uint32(7), 7):
         counts = ps.simulate_counts(MIX, ps.TomographyConfig(photons_per_basis=100, seed=seed))
