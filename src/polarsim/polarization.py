@@ -45,7 +45,10 @@ def check_angle(value) -> None:
 
 
 def normalize_angle(raw_degrees: float) -> float:
-    """Reduce an angle in degrees to the canonical range [0, 180)."""
+    """Reduce an angle in degrees to the canonical range [0, 180); a float strictly
+    inside (0, 180) passes through unchanged, and -0.0 becomes 0.0."""
+    if type(raw_degrees) is float and 0.0 < raw_degrees < 180.0:
+        return raw_degrees
     if not math.isfinite(raw_degrees):
         raise ValueError(f"polarization angle must be finite, got {raw_degrees!r}")
     reduced = raw_degrees % 180.0
@@ -102,7 +105,7 @@ class DensityMatrix:
         lmin = _eigvals_2x2(m00.real, m01, m11.real)[1]
         if lmin < -PSD_TOL:
             raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {lmin})")
-        m.flags.writeable = False
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
 
@@ -131,8 +134,10 @@ class PhotonEnsemble:
                 check_count(count, "photon counts must be integers")
             if count < 0:
                 raise ValueError(f"photon counts must be non-negative, got {count}")
-            check_angle(angle)
-            canonical.append((int(count), normalize_angle(angle)))
+            if type(angle) is not float or not 0.0 < angle < 180.0:  # normalize_angle's rule
+                check_angle(angle)
+                angle = normalize_angle(angle)
+            canonical.append((int(count), angle))
         object.__setattr__(self, "components", tuple(canonical))
 
     @property
@@ -169,8 +174,7 @@ def mixture_entries(
     for count, angle in components:
         if count == 0:
             continue
-        # an angle already in [0, 180) is not reduced again
-        theta = math.radians(angle if 0.0 <= angle < 180.0 else normalize_angle(angle))
+        theta = math.radians(normalize_angle(angle))
         a0, a1 = math.cos(theta), math.sin(theta)
         weight = count / total
         m00 += weight * (a0 * a0)
@@ -215,10 +219,10 @@ def stokes_from_density(rho: DensityMatrix) -> StokesVector:
     )
 
 
-def stokes_matrix(s: StokesVector) -> np.ndarray:
-    """The unvalidated matrix (1/2) sum_i S_i sigma_i of a Stokes vector."""
-    return np.array([[0.5 * (s.s0 + s.s3), 0.5 * (s.s1 - 1j * s.s2)],
-                     [0.5 * (s.s1 + 1j * s.s2), 0.5 * (s.s0 - s.s3)]], dtype=complex)
+def stokes_matrix(s: StokesVector) -> tuple:
+    """Unvalidated entries ((m00, m01), (m10, m11)) of (1/2) sum_i S_i sigma_i."""
+    return ((0.5 * (s.s0 + s.s3), 0.5 * (s.s1 - 1j * s.s2)),
+            (0.5 * (s.s1 + 1j * s.s2), 0.5 * (s.s0 - s.s3)))
 
 
 def outside_poincare_sphere(s: StokesVector) -> bool:
@@ -368,15 +372,6 @@ def report_line(key: str, value: Optional[float]) -> str:
 
 def render_matrix(rho: DensityMatrix) -> str:
     """Row-major fixed-point text rendering for CLI output."""
-    m = rho.matrix
-    rows = []
-    for i in range(2):
-        cells = []
-        for j in range(2):
-            z = m[i, j]
-            if abs(z.imag) > 5e-7:
-                cells.append(f"{format_decimal(z.real)}{z.imag:+.6f}j")
-            else:
-                cells.append(format_decimal(z.real))
-        rows.append("[" + ", ".join(cells) + "]")
-    return "[" + ", ".join(rows) + "]"
+    rows = [", ".join(format_decimal(z.real) + (f"{z.imag:+.6f}j" if abs(z.imag) > 5e-7 else "")
+                      for z in row) for row in rho.matrix.tolist()]
+    return "[[" + "], [".join(rows) + "]]"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -47,10 +47,11 @@ _REPORT_FIELDS = (
     ("lambda_max", "%.6f"), ("lambda_min", "%.6f"), ("principal_angle_deg", "%s"),
     ("intensity_sent", "%s"), ("intensity_after_stage1", "%s"), ("intensity_after_stage2", "%s"),
 )
-_KEY_VALUE_TEMPLATE = "\n".join(key + "=" + fmt for key, fmt in _REPORT_FIELDS)
-# %.0s takes a value that has no CSV column and prints nothing
+# a render slices off the separator each template starts with, which copies the text out of
+# %'s overallocated block into one of its size; %.0s takes a value that has no CSV column
+_KEY_VALUE_TEMPLATE = "".join("\n" + key + "=" + fmt for key, fmt in _REPORT_FIELDS)
 _CSV_TEMPLATE = "".join(("," + fmt if key in PROTOCOL_CSV_HEADER.split(",") else "%.0s")
-                        for key, fmt in _REPORT_FIELDS)[1:]
+                        for key, fmt in _REPORT_FIELDS)
 
 
 class Decision(enum.Enum):
@@ -90,12 +91,17 @@ class EveConfig:
             raise ValueError("siphon counts must be non-negative")
         if not self.enabled and (self.siphon_stage1 or self.siphon_stage2):
             raise ValueError("a disabled Eve siphons nothing; set enabled=True to siphon")
-        check_angle(self.injection_angle_deg)
-        object.__setattr__(self, "injection_angle_deg", normalize_angle(self.injection_angle_deg))
+        phi = self.injection_angle_deg
+        if type(phi) is not float or not 0.0 < phi < 180.0:  # normalize_angle's pass-through
+            check_angle(phi)
+            object.__setattr__(self, "injection_angle_deg", normalize_angle(phi))
 
     @classmethod
     def disabled(cls) -> "EveConfig":
-        return cls()
+        return _NO_EVE
+
+
+_NO_EVE = EveConfig()  # frozen, so one instance serves every config without Eve
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ class ProtocolConfig:
     n_photons: int
     alice_angle_deg: float
     bob_bit: int
-    eve: EveConfig = field(default_factory=EveConfig.disabled)
+    eve: EveConfig = _NO_EVE
     mode: str = "exact"
     tomography: TomographyConfig = field(default_factory=TomographyConfig)
 
@@ -115,8 +121,10 @@ class ProtocolConfig:
             raise ValueError("bob_bit must be 0 or 1")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        check_angle(self.alice_angle_deg)
-        object.__setattr__(self, "alice_angle_deg", normalize_angle(self.alice_angle_deg))
+        theta = self.alice_angle_deg
+        if type(theta) is not float or not 0.0 < theta < 180.0:  # normalize_angle's pass-through
+            check_angle(theta)
+            object.__setattr__(self, "alice_angle_deg", normalize_angle(theta))
         # Eve siphons only Alice's untouched photons (see _received_populations);
         # this is a run's siphon bound, and SweepSpec's totals keep within it
         n, siphon1, siphon2 = self.n_photons, self.eve.siphon_stage1, self.eve.siphon_stage2
@@ -136,8 +144,7 @@ class ProtocolConfig:
         return max(EXACT_EPS_DISTANCE, noise), max(EXACT_EPS_PURITY, noise)
 
 
-@dataclass(frozen=True)
-class ProtocolOutcome:
+class ProtocolOutcome(NamedTuple):
     decision: Decision
     alice_angle_deg: float
     rho_received: DensityMatrix
@@ -168,10 +175,10 @@ class ProtocolOutcome:
 
     # as format_decimal, a value that rounds to zero prints without a sign
     def to_key_value_block(self) -> str:
-        return (_KEY_VALUE_TEMPLATE % self._report_values()).replace("=-0.000000", "=0.000000")
+        return (_KEY_VALUE_TEMPLATE % self._report_values()).replace("=-0.000000", "=0.000000")[1:]
 
     def to_csv_row(self) -> str:
-        return (_CSV_TEMPLATE % self._report_values()).replace(",-0.000000", ",0.000000")
+        return (_CSV_TEMPLATE % self._report_values()).replace(",-0.000000", ",0.000000")[1:]
 
 
 def _received_populations(n, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float):
@@ -251,18 +258,12 @@ def _outcome(config: ProtocolConfig, rho_received: DensityMatrix) -> ProtocolOut
     purity_received = stokes_purity(s)
     dist_h0 = math.sqrt((s1 - h1) ** 2 + s2 * s2 + (s3 - h3) ** 2) / math.sqrt(2.0)
     dist_h90 = math.sqrt((s1 - g1) ** 2 + s2 * s2 + (s3 - g3) ** 2) / math.sqrt(2.0)
+    decision = decide(purity_received, dist_h0, dist_h90, *config.resolved_thresholds())
     n = config.n_photons
-    return ProtocolOutcome(
-        decision=decide(purity_received, dist_h0, dist_h90, *config.resolved_thresholds()),
-        alice_angle_deg=theta,
-        rho_received=rho_received,
-        purity_received=purity_received,
-        dist_to_h0=dist_h0,
-        dist_to_h90=dist_h90,
-        spectrum=stokes_spectrum(s),
-        # every siphoned photon is replaced, so the count never changes
-        stage_intensities=(n, n, n),
-    )
+    # in field order, which costs less than keywords; every siphoned photon
+    # is replaced, so the count never changes
+    return ProtocolOutcome(decision, theta, rho_received, purity_received, dist_h0, dist_h90,
+                           stokes_spectrum(s), (n, n, n))
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolOutcome:

@@ -153,8 +153,9 @@ class TestEnsembleDensity:
     @example(180.0)
     @example(-0.0)
     def test_mixture_entries_reduce_only_what_needs_it(self, angle):
-        # an angle already in [0, 180) skips the reduction, and gives the
-        # floats its reduced twin gives, alone or beside another component
+        # an angle takes normalize_angle's rule (a float inside (0, 180) skips
+        # the reduction), and gives the floats its reduced twin gives, alone
+        # or beside another component
         reduced = ps.normalize_angle(angle)
         for mix in (lambda a: ([(3, a)], 3), lambda a: ([(3, a), (0, a), (5, 45.0)], 8)):
             assert repr(mixture_entries(*mix(angle))) == repr(mixture_entries(*mix(reduced)))

@@ -133,6 +133,12 @@ class TestEveConfig:
         absent = ps.run_protocol(config(mode=mode))
         assert idle.to_key_value_block() == absent.to_key_value_block()
 
+    def test_no_eve_is_one_shared_config(self):
+        # the class is frozen, so every config without Eve can hold one instance
+        assert ps.EveConfig.disabled() is ps.EveConfig.disabled()
+        assert ps.EveConfig.disabled() == ps.EveConfig()
+        assert ps.ProtocolConfig(10, 30.0, 0).eve is ps.EveConfig.disabled()
+
 
 class TestProtocolConfig:
     @pytest.mark.parametrize("field, value, message", [
@@ -244,6 +250,64 @@ def test_real_angles_accepted(angle):
     assert ps.EveConfig(1, 0, angle, enabled=True).injection_angle_deg == 30.0
     assert ps.PhotonEnsemble(((1, angle),)).components == ((1, 30.0),)
     assert ps.SweepSpec(angle, angle).phi_deg == 30.0
+
+
+def reference_normalize_angle(raw_degrees):
+    """normalize_angle before canonical floats passed through it: every
+    angle takes the reduction."""
+    if not math.isfinite(raw_degrees):
+        raise ValueError(f"polarization angle must be finite, got {raw_degrees!r}")
+    reduced = raw_degrees % 180.0
+    if reduced >= 180.0:  # guard against float roundup at the boundary
+        reduced = 0.0
+    return reduced
+
+
+# where each build keeps its canonical angle
+STORED_ANGLES = {
+    "theta": lambda built: built.alice_angle_deg,
+    "eve-angle": lambda built: built.injection_angle_deg,
+    "ensemble": lambda built: built.components[0][1],
+    "sweep-theta": lambda built: built.theta_deg,
+    "sweep-phi": lambda built: built.phi_deg,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.floats(-720.0, 720.0),
+    st.integers(-720, 720),
+    st.floats(-720.0, 720.0).map(np.float64),
+    st.floats(-720.0, 720.0, width=32).map(np.float32),
+))
+@example(0.0)
+@example(-0.0)
+@example(180.0)
+@example(179.99999999999997)
+@example(5e-324)
+@example(-5e-324)
+@example(90)
+@example(np.float64(30.0))
+@example(np.float32(30.0))
+def test_canonical_angles_pass_through_as_the_reduction_gives(angle):
+    # a float strictly inside (0, 180) skips the reduction and the type check
+    # wherever an angle is made canonical; zero does not, so -0.0 is still
+    # stored as 0.0 (a sweep at --theta -0 writes theta_deg=0.0)
+    expected = reference_normalize_angle(angle)
+    reduced = ps.normalize_angle(angle)
+    assert (repr(reduced), type(reduced)) == (repr(expected), type(expected))
+    for name, build in ANGLE_BUILDS.items():
+        stored = STORED_ANGLES[name](build(angle))
+        assert (repr(stored), type(stored)) == (repr(expected), type(expected)), name
+
+
+@pytest.mark.parametrize("build", [ps.normalize_angle, *ANGLE_BUILDS.values()],
+                         ids=["normalize_angle", *ANGLE_BUILDS.keys()])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_angles_keep_their_message(build, angle):
+    message = f"polarization angle must be finite, got {angle!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(angle)
 
 
 def test_numpy_integer_counts_accepted():
@@ -505,6 +569,35 @@ def test_renderings_match_the_line_renderer(decision, values, angle, intensities
     )
     assert outcome.to_key_value_block() == "\n".join(reference_report_lines(outcome))
     assert outcome.to_csv_row() == reference_csv_row(outcome)
+
+
+class TestOutcomeRecord:
+    # the field names, in order, of ProtocolOutcome when it was a frozen dataclass
+    FIELDS = ("decision", "alice_angle_deg", "rho_received", "purity_received", "dist_to_h0",
+              "dist_to_h90", "spectrum", "stage_intensities")
+
+    def test_fields_in_order(self):
+        assert protocol.ProtocolOutcome._fields == self.FIELDS
+
+    def test_keyword_and_positional_construction(self):
+        out = ps.run_protocol(config(eve=ps.EveConfig(10, 10, 45, enabled=True)))
+        values = [getattr(out, name) for name in self.FIELDS]
+        by_keyword = protocol.ProtocolOutcome(**dict(zip(self.FIELDS, values)))
+        by_position = protocol.ProtocolOutcome(*values)
+        for built in (by_keyword, by_position):
+            assert all(getattr(built, name) is value for name, value in zip(self.FIELDS, values))
+            assert built.to_key_value_block() == out.to_key_value_block()
+            assert built.to_csv_row() == out.to_csv_row()
+
+    @pytest.mark.parametrize("name", FIELDS + ("rho_hypothesis_0", "extra"))
+    def test_attributes_cannot_be_assigned(self, name):
+        out = ps.run_protocol(config())
+        with pytest.raises(AttributeError):
+            setattr(out, name, 0.0)
+
+    def test_render_method_is_patchable_on_the_class(self):
+        # the benchmark's tracer replaces it in the class __dict__
+        assert "to_key_value_block" in protocol.ProtocolOutcome.__dict__
 
 
 class TestOutcomeSerialization:
