@@ -13,7 +13,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import __version__
 from .polarization import (
@@ -50,11 +50,23 @@ from .tomography import (
 )
 
 
-def _write_manifest(path: Path, subcommand: str, params: Dict[str, object],
+def _write_manifest(path: Path, args: argparse.Namespace, unread: Set[str],
                     outputs: Sequence[Path], started: float) -> None:
-    """Write `params`, the flags the run read (key `theta_deg` is flag
-    `--theta`), with the run's provenance."""
-    lines = [f"spec_revision={__version__}", f"subcommand={subcommand}"]
+    """Write every flag of the run's subcommand but --out (key `theta_deg` is
+    flag `--theta`), empty where the run's path does not read it, with the
+    run's provenance."""
+    params: Dict[str, object] = {}
+    for dest, value in vars(args).items():
+        if dest in ("subcommand", "out"):
+            continue
+        if dest in unread:
+            value = ""
+        elif isinstance(value, tuple):  # --totals
+            value = ",".join(map(str, value))
+        elif isinstance(value, PhotonEnsemble):  # --mix, canonical
+            value = ",".join(f"{count}@{angle}" for count, angle in value.components)
+        params[dest + "_deg" if dest in ("theta", "phi", "eve_angle") else dest] = value
+    lines = [f"spec_revision={__version__}", f"subcommand={args.subcommand}"]
     lines += [f"{key}={params[key]}" for key in sorted(params)]
     lines.append(f"rng_algorithm={RNG_ALGORITHM}")
     lines += [f"output={out}" for out in outputs]
@@ -106,19 +118,30 @@ DEFAULTS = {"bit": SweepSpec.bob_bit, "photons": SweepSpec.n_photons,
             "eve_angle": EveConfig.injection_angle_deg}
 
 
-def _refuse(args: argparse.Namespace, path: str, flags: Sequence[str]) -> bool:
-    """Report on stderr which of `flags` were given to a path that ignores
-    them; True if any was."""
-    given = ["--" + name.replace("_", "-") for name in flags if getattr(args, name) is not None]
-    if given:
-        print(f"{path} takes no {', '.join(given)}", file=sys.stderr)
-    return bool(given)
-
-
-def _fill_defaults(args: argparse.Namespace) -> None:
+def _unread_flags(
+    args: argparse.Namespace, rules: Sequence[Tuple[bool, str, Tuple[str, ...]]]
+) -> Optional[Set[str]]:
+    """The flags a run's path does not read: those of each rule
+    `(applies, path, flags)` that applies. Every one of them that was given
+    is named on stderr, once, under the first path that ignores it, and the
+    result is None; otherwise the flags left unset take their DEFAULTS."""
+    unread: Set[str] = set()
+    refused = False
+    for applies, path, flags in rules:
+        if not applies:
+            continue
+        given = [name for name in flags if name not in unread and getattr(args, name) is not None]
+        unread.update(flags)
+        if given:
+            print(f"{path} takes no {', '.join('--' + name.replace('_', '-') for name in given)}",
+                  file=sys.stderr)
+            refused = True
+    if refused:
+        return None
     for name, default in DEFAULTS.items():
         if getattr(args, name, default) is None:
             setattr(args, name, default)
+    return unread
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,26 +200,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_out(
-    args: argparse.Namespace, header: str, row: str, params: Dict[str, object], started: float
+    args: argparse.Namespace, header: str, row: str, unread: Set[str], started: float
 ) -> None:
     """Write a one-row CSV to --out and its manifest beside it."""
     args.out.write_text(header + "\n" + row + "\n")
     manifest = args.out.with_suffix(args.out.suffix + ".manifest")
-    _write_manifest(manifest, args.subcommand, params, [args.out], started)
+    _write_manifest(manifest, args, unread, [args.out], started)
 
 
 def cmd_protocol(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if args.mode == "exact" and _refuse(
-        args, "protocol --mode exact", ("seed", "photons_per_basis")
-    ):
-        return 2
     # Eve is active iff she siphons; with no siphon she injects nothing, so
     # her angle reaches no result
     eve_active = args.eve_siphon1 != 0 or args.eve_siphon2 != 0
-    if not eve_active and _refuse(args, "protocol without a siphon", ("eve_angle",)):
+    unread = _unread_flags(args, (
+        (args.mode == "exact", "protocol --mode exact", ("seed", "photons_per_basis")),
+        (not eve_active, "protocol without a siphon", ("eve_angle",)),
+    ))
+    if unread is None:
         return 2
-    _fill_defaults(args)
     config = ProtocolConfig(
         n_photons=args.photons,
         alice_angle_deg=args.theta,
@@ -213,19 +235,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     outcome = run_protocol(config)
     print(outcome.to_key_value_block())
     if args.out is not None:
-        params: Dict[str, object] = {
-            "theta_deg": args.theta,
-            "bit": args.bit,
-            "photons": args.photons,
-            "eve_siphon1": args.eve_siphon1,
-            "eve_siphon2": args.eve_siphon2,
-            "mode": args.mode,
-        }
-        if eve_active:
-            params["eve_angle_deg"] = args.eve_angle
-        if args.mode == "sampled":
-            params.update(seed=args.seed, photons_per_basis=args.photons_per_basis)
-        _write_out(args, PROTOCOL_CSV_HEADER, outcome.to_csv_row(), params, started)
+        _write_out(args, PROTOCOL_CSV_HEADER, outcome.to_csv_row(), unread, started)
     return 0
 
 
@@ -253,24 +263,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep --preset {args.preset} is exact-only; drop --mode {args.mode}",
               file=sys.stderr)
         return 2
-    if args.preset is not None:
-        # a preset fixes the angles and totals; the delta-family grid fixes
-        # everything else as well
-        unused = ("theta", "phi", "totals") + (("bit", "photons", "seed") if delta_family else ())
-        if _refuse(args, f"sweep --preset {args.preset}", unused):
-            return 2
-    elif args.theta is None or args.phi is None or args.totals is None:
+    if args.preset is None and (args.theta is None or args.phi is None or args.totals is None):
         print("sweep requires --preset or all of --theta/--phi/--totals", file=sys.stderr)
         return 2
-    if args.mode == "exact" and _refuse(args, "sweep --mode exact", ("seed",)):
+    # a preset fixes the angles and totals; the delta-family grid fixes
+    # everything else as well
+    fixed = ("theta", "phi", "totals") + (("bit", "photons", "seed") if delta_family else ())
+    unread = _unread_flags(args, (
+        (args.preset is not None, f"sweep --preset {args.preset}", fixed),
+        (args.preset is None, "sweep without --preset", ("preset",)),
+        (args.mode == "exact", "sweep --mode exact", ("seed",)),
+    ))
+    if unread is None:
         return 2
-    _fill_defaults(args)
     # made only once the sweep has run, so that a refused one writes nothing
     out_dir = Path(args.out)
-    params: Dict[str, object] = {"mode": args.mode}
 
     if delta_family:
-        params["preset"] = args.preset
         table = sweep_delta_family()
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "delta_family.csv"
@@ -278,16 +287,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         outputs = [csv_path]
         print(f"sweep delta-family: {len(table)} points -> {csv_path}")
     else:
-        params.update(bit=args.bit, photons=args.photons)
-        if args.mode == "sampled":
-            params["seed"] = args.seed
         if args.preset is None:
             name, theta, phi, totals = "custom", args.theta, args.phi, args.totals
-            params.update(theta_deg=theta, phi_deg=phi, totals=",".join(map(str, totals)))
         else:
             base = PRESETS[args.preset]
             name, theta, phi, totals = args.preset, base.theta_deg, base.phi_deg, base.siphon_totals
-            params["preset"] = args.preset
         spec = SweepSpec(theta, phi, args.bit, args.photons, totals, args.mode, args.seed)
         records = sweep_siphon(spec)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -299,8 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         points = "" if args.preset is None else f" {len(records)} points"
         print(f"sweep {name}: theta={spec.theta_deg} phi={spec.phi_deg}{points} -> {csv_path}")
 
-    manifest = out_dir / "manifest.txt"
-    _write_manifest(manifest, "sweep", params, outputs, started)
+    _write_manifest(out_dir / "manifest.txt", args, unread, outputs, started)
     return 0
 
 
@@ -313,6 +316,8 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     else:
         print("tomography requires --theta or --mix", file=sys.stderr)
         return 2
+    # argparse refuses both, so the one not given is the one not read
+    unread = {"theta" if args.mix is not None else "mix"}
     config = TomographyConfig(photons_per_basis=args.photons_per_basis, seed=args.seed)
     counts = measure(ens.components, ens.total, config)
     stokes = stokes_estimate(counts)
@@ -331,20 +336,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     print(report_line("principal_angle_deg", spectrum.principal_angle_deg))
 
     if args.out is not None:
-        _write_out(
-            args,
-            COUNTS_CSV_HEADER,
-            counts.to_csv_row(),
-            {
-                "mix": "" if args.mix is None else ",".join(
-                    f"{c}@{a}" for c, a in ens.components
-                ),
-                "theta_deg": "" if args.theta is None else args.theta,
-                "photons_per_basis": args.photons_per_basis,
-                "seed": args.seed,
-            },
-            started,
-        )
+        _write_out(args, COUNTS_CSV_HEADER, counts.to_csv_row(), unread, started)
     return 0
 
 

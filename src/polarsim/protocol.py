@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -102,6 +102,7 @@ class EveConfig:
 
 
 _NO_EVE = EveConfig()  # frozen, so one instance serves every config without Eve
+_DEFAULT_TOMOGRAPHY = TomographyConfig()  # frozen too, and exact mode never reads it
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class ProtocolConfig:
     bob_bit: int
     eve: EveConfig = _NO_EVE
     mode: str = "exact"
-    tomography: TomographyConfig = field(default_factory=TomographyConfig)
+    tomography: TomographyConfig = _DEFAULT_TOMOGRAPHY
 
     def __post_init__(self) -> None:
         check_count(self.n_photons, "n_photons must be an integer")

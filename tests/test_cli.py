@@ -231,6 +231,20 @@ class TestProtocolCommand:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_every_ignored_flag_is_named_in_one_run(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "protocol", "--theta", "30", "--bit", "0", "--photons", "100",
+            "--mode", "exact", "--seed", "1", "--eve-angle", "4",
+            "--out", str(tmp_path / "run.csv"),
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            "protocol --mode exact takes no --seed",
+            "protocol without a siphon takes no --eve-angle",
+        ]
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_fig4_preset(self, capsys, tmp_path):
@@ -345,6 +359,15 @@ class TestSweepCommand:
         assert code == 2
         assert f"takes no {flag[0]}" in err
         assert not (tmp_path / "manifest.txt").exists()
+
+    def test_flag_ignored_twice_is_named_once(self, capsys, tmp_path):
+        # a delta-family run is exact too, and neither path reads --seed
+        code, _, err = run_cli(
+            capsys, "sweep", "--preset", "delta-family", "--seed", "3", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert err.count("--seed") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("preset", sorted({preset for preset, _ in PRESET_CSV_SHA256}))
     @pytest.mark.parametrize("flag", [["--theta", "10"], ["--phi", "80"], ["--totals", "0,2"]])
@@ -605,6 +628,11 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
 PROVENANCE = {"spec_revision", "subcommand", "rng_algorithm", "output", "duration_s"}
 
 
+def flag_of(key):
+    """The flag a manifest key records."""
+    return "--" + key.removesuffix("_deg").replace("_", "-")
+
+
 def argv_from_manifest(path):
     """The run a manifest records: key `theta_deg` is flag `--theta`, and an
     empty value is a flag the run did not take."""
@@ -612,39 +640,69 @@ def argv_from_manifest(path):
     argv = [dict(fields)["subcommand"]]
     for key, value in fields:
         if key not in PROVENANCE and value:
-            argv += ["--" + key.removesuffix("_deg").replace("_", "-"), value]
+            argv += [flag_of(key), value]
     return argv
 
 
-@pytest.mark.parametrize("argv, csv_name", [
-    (["protocol", "--theta", "30", "--bit", "1", "--photons", "100", "--eve-siphon1", "10",
-      "--eve-siphon2", "20", "--eve-angle", "45"], "row.csv"),
-    (["protocol", "--theta", "30", "--bit", "1", "--photons", "100", "--eve-siphon1", "10",
-      "--eve-siphon2", "20", "--eve-angle", "45", "--mode", "sampled", "--seed", "7",
-      "--photons-per-basis", "1000"], "row.csv"),
-    (["protocol", "--theta", "30", "--bit", "1", "--photons", "100"], "row.csv"),
-    (["sweep", "--preset", "fig8", "--bit", "1", "--photons", "60"], "fig8.csv"),
-    (["sweep", "--preset", "fig4", "--mode", "sampled", "--seed", "3", "--photons", "80"],
-     "fig4.csv"),
-    (["sweep", "--theta", "30", "--phi", "45", "--totals", "0,10,40", "--bit", "1",
-      "--photons", "200"], "custom.csv"),
-    (["sweep", "--preset", "delta-family"], "delta_family.csv"),
-    (["tomography", "--mix", "80@30,20@45", "--seed", "7", "--photons-per-basis", "1000"],
-     "counts.csv"),
-    (["tomography", "--theta", "10", "--seed", "3"], "counts.csv"),
-], ids=["protocol-exact", "protocol-sampled", "protocol-exact-no-siphon", "sweep-preset",
-        "sweep-preset-sampled", "sweep-custom", "sweep-delta-family", "tomography-mix",
-        "tomography-theta"])
-def test_manifest_reruns_its_run(capsys, tmp_path, argv, csv_name):
-    # a sweep writes into its --out directory, the others to their --out file
-    def run(argv, directory):
-        directory.mkdir()
-        sweep = argv[0] == "sweep"
-        assert main([*argv, "--out", str(directory if sweep else directory / csv_name)]) == 0
-        capsys.readouterr()
-        manifest = directory / ("manifest.txt" if sweep else csv_name + ".manifest")
-        return (directory / csv_name).read_bytes(), manifest
+def run_with_out(capsys, argv, directory, csv_name):
+    """Run `argv` with --out in a new `directory`: a sweep writes into it,
+    the others to their CSV file there. The CSV bytes and manifest path."""
+    directory.mkdir()
+    sweep = argv[0] == "sweep"
+    assert main([*argv, "--out", str(directory if sweep else directory / csv_name)]) == 0
+    capsys.readouterr()
+    manifest = directory / ("manifest.txt" if sweep else csv_name + ".manifest")
+    return (directory / csv_name).read_bytes(), manifest
 
-    csv, manifest = run(argv, tmp_path / "first")
-    rerun, _ = run(argv_from_manifest(manifest), tmp_path / "second")
+
+# each run with its CSV and the manifest keys of the flags its path does not read
+MANIFEST_CASES = [
+    pytest.param(["protocol", "--theta", "30", "--bit", "1", "--photons", "100",
+                  "--eve-siphon1", "10", "--eve-siphon2", "20", "--eve-angle", "45"],
+                 "row.csv", {"seed", "photons_per_basis"}, id="protocol-exact"),
+    pytest.param(["protocol", "--theta", "30", "--bit", "1", "--photons", "100",
+                  "--eve-siphon1", "10", "--eve-siphon2", "20", "--eve-angle", "45",
+                  "--mode", "sampled", "--seed", "7", "--photons-per-basis", "1000"],
+                 "row.csv", set(), id="protocol-sampled"),
+    pytest.param(["protocol", "--theta", "30", "--bit", "1", "--photons", "100"],
+                 "row.csv", {"seed", "photons_per_basis", "eve_angle_deg"},
+                 id="protocol-exact-no-siphon"),
+    pytest.param(["sweep", "--preset", "fig8", "--bit", "1", "--photons", "60"],
+                 "fig8.csv", {"theta_deg", "phi_deg", "totals", "seed"}, id="sweep-preset"),
+    pytest.param(["sweep", "--preset", "fig4", "--mode", "sampled", "--seed", "3",
+                  "--photons", "80"],
+                 "fig4.csv", {"theta_deg", "phi_deg", "totals"}, id="sweep-preset-sampled"),
+    pytest.param(["sweep", "--theta", "30", "--phi", "45", "--totals", "0,10,40", "--bit", "1",
+                  "--photons", "200"],
+                 "custom.csv", {"preset", "seed"}, id="sweep-custom"),
+    pytest.param(["sweep", "--preset", "delta-family"], "delta_family.csv",
+                 {"theta_deg", "phi_deg", "totals", "bit", "photons", "seed"},
+                 id="sweep-delta-family"),
+    pytest.param(["tomography", "--mix", "80@30,20@45", "--seed", "7",
+                  "--photons-per-basis", "1000"],
+                 "counts.csv", {"theta_deg"}, id="tomography-mix"),
+    pytest.param(["tomography", "--theta", "10", "--seed", "3"], "counts.csv", {"mix"},
+                 id="tomography-theta"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_name, unread", MANIFEST_CASES)
+def test_manifest_reruns_its_run(capsys, tmp_path, argv, csv_name, unread):
+    csv, manifest = run_with_out(capsys, argv, tmp_path / "first", csv_name)
+    rerun, _ = run_with_out(capsys, argv_from_manifest(manifest), tmp_path / "second", csv_name)
     assert rerun == csv
+
+
+@pytest.mark.parametrize("argv, csv_name, unread", MANIFEST_CASES)
+def test_manifest_records_every_flag(capsys, tmp_path, argv, csv_name, unread):
+    # every flag of the subcommand but --out, empty exactly where the path
+    # does not read it
+    _, manifest = run_with_out(capsys, argv, tmp_path / "out", csv_name)
+    fields = [line.split("=", 1) for line in manifest.read_text().splitlines()]
+    params = {key: value for key, value in fields if key not in PROVENANCE}
+    [subparsers] = [action for action in cli.build_parser()._actions
+                    if action.dest == "subcommand"]
+    flags = {flag for action in subparsers.choices[argv[0]]._actions
+             for flag in action.option_strings} - {"-h", "--help", "--out"}
+    assert sorted(map(flag_of, params)) == sorted(flags)
+    assert {key for key, value in params.items() if value == ""} == unread

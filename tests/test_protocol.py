@@ -141,6 +141,13 @@ class TestEveConfig:
 
 
 class TestProtocolConfig:
+    def test_configs_without_one_share_one_tomography_config(self):
+        # frozen, as EveConfig is, so no config built without one builds its own
+        exact = ps.ProtocolConfig(10, 30.0, 0)
+        sampled = ps.ProtocolConfig(20, 45.0, 1, mode="sampled")
+        assert exact.tomography is sampled.tomography
+        assert exact.tomography == ps.TomographyConfig()
+
     @pytest.mark.parametrize("field, value, message", [
         ("n", 0, "n_photons must be positive"),
         ("bit", 2, "bob_bit must be 0 or 1"),
