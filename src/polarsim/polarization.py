@@ -358,11 +358,15 @@ def bloch_summary(s1, s3) -> BlochSummary:
     return BlochSummary(0.5 * (1.0 + r2), 0.5 * (1.0 + norm), lambda_min, angle)
 
 
+def unsign_zeros(text: str) -> str:
+    """Six-decimal text with each -0.000000 written 0.000000; exact, as a
+    six-decimal value that starts with -0.000000 is that value."""
+    return text.replace("-0.000000", "0.000000")
+
+
 def format_decimal(x: float) -> str:
-    """Six decimals; a value that rounds to zero prints as 0.000000, never
-    with the sign of its rounding residue."""
-    text = f"{x:.6f}"
-    return "0.000000" if text == "-0.000000" else text
+    """Six decimals; a value that rounds to zero prints without a sign."""
+    return unsign_zeros(f"{x:.6f}")
 
 
 def report_line(key: str, value: Optional[float]) -> str:

@@ -22,6 +22,7 @@ from .polarization import (
     DensityMatrix,
     PhotonEnsemble,
     Spectrum,
+    bloch_summary,
     check_angle,
     check_count,
     density_of_pure,
@@ -33,6 +34,7 @@ from .polarization import (
     stokes_from_density,
     stokes_purity,
     stokes_spectrum,
+    unsign_zeros,
 )
 from .tomography import TomographyConfig, measure, reconstruct
 
@@ -59,10 +61,6 @@ class Decision(enum.Enum):
     BIT1 = "Bit1"
     EVE_DETECTED = "EveDetected"
 
-
-# decision_codes returns indices into this tuple
-DECISIONS = tuple(Decision)
-EVE_CODE = DECISIONS.index(Decision.EVE_DETECTED)
 
 # exact-mode thresholds, and the floors of the sampled-mode ones
 EXACT_EPS_DISTANCE = 1e-9
@@ -174,12 +172,11 @@ class ProtocolOutcome(NamedTuple):
             *self.stage_intensities,
         )
 
-    # as format_decimal, a value that rounds to zero prints without a sign
     def to_key_value_block(self) -> str:
-        return (_KEY_VALUE_TEMPLATE % self._report_values()).replace("=-0.000000", "=0.000000")[1:]
+        return unsign_zeros(_KEY_VALUE_TEMPLATE % self._report_values())[1:]
 
     def to_csv_row(self) -> str:
-        return (_CSV_TEMPLATE % self._report_values()).replace(",-0.000000", ",0.000000")[1:]
+        return unsign_zeros(_CSV_TEMPLATE % self._report_values())[1:]
 
 
 def _received_populations(n, theta_deg: float, bob_bit: int, siphon1, siphon2, phi_deg: float):
@@ -216,21 +213,18 @@ def received_stokes(n: int, theta_deg: float, bob_bit: int, siphon1, siphon2, ph
     return wa * a1 + wb * b1 + wc * c1, wa * a3 + wb * b3 + wc * c3
 
 
-def decision_codes(purity, dist_h0, dist_h90, eps_dist: float, eps_purity: float):
-    """Alice's decision rule, elementwise, as indices into DECISIONS: a mixed
-    state or a state far from both hypotheses means Eve; otherwise decode the
-    nearer hypothesis (ties go to bit 0)."""
-    eve = (purity < 1.0 - eps_purity) | ((dist_h0 > eps_dist) & (dist_h90 > eps_dist))
-    return np.where(eve, EVE_CODE, dist_h0 > dist_h90)
+def eve_detected(purity, dist_h0, dist_h90, eps_dist: float, eps_purity: float):
+    """Alice's check for Eve: the received state is mixed, or far from both
+    hypotheses. Written with | and &, it takes floats, or arrays elementwise."""
+    return (purity < 1.0 - eps_purity) | ((dist_h0 > eps_dist) & (dist_h90 > eps_dist))
 
 
 def decide(
     purity: float, dist_h0: float, dist_h90: float, eps_dist: float, eps_purity: float
 ) -> Decision:
-    """Alice's decision rule on one received state: its purity and Frobenius
-    distances to her two hypotheses. It is decision_codes in Python
-    arithmetic, which costs less than numpy's on scalars."""
-    if purity < 1.0 - eps_purity or (dist_h0 > eps_dist and dist_h90 > eps_dist):
+    """Alice's decision on one received state: Eve if eve_detected, otherwise
+    the nearer of her two hypotheses (ties go to bit 0)."""
+    if eve_detected(purity, dist_h0, dist_h90, eps_dist, eps_purity):
         return Decision.EVE_DETECTED
     return Decision.BIT1 if dist_h0 > dist_h90 else Decision.BIT0
 
@@ -245,6 +239,13 @@ def intensity_check(stage_intensities: Tuple[int, ...]) -> bool:
     return all(count == first for count in stage_intensities)
 
 
+def _hypotheses(theta_deg: float) -> Tuple[float, float, float, float]:
+    """Stokes components (h1, h3, g1, g3), in Python floats, of Alice's two
+    hypotheses for her angle theta: her state and its 90 deg rotation."""
+    t, u = math.radians(2.0 * theta_deg), math.radians(2.0 * normalize_angle(theta_deg + 90.0))
+    return math.sin(t), math.cos(t), math.sin(u), math.cos(u)
+
+
 def _outcome(config: ProtocolConfig, rho_received: DensityMatrix) -> ProtocolOutcome:
     """Alice's report, read off the Stokes vector r of the received matrix:
     purity (1 + |r|^2)/2, the Frobenius distances |r - r_h|/sqrt(2) to her
@@ -252,10 +253,7 @@ def _outcome(config: ProtocolConfig, rho_received: DensityMatrix) -> ProtocolOut
     s = stokes_from_density(rho_received)
     _, s1, s2, s3 = s
     theta = config.alice_angle_deg
-    # the hypotheses' Stokes components (sin 2t, cos 2t), in Python floats
-    t, u = math.radians(2.0 * theta), math.radians(2.0 * normalize_angle(theta + 90.0))
-    h1, h3 = math.sin(t), math.cos(t)
-    g1, g3 = math.sin(u), math.cos(u)
+    h1, h3, g1, g3 = _hypotheses(theta)
     purity_received = stokes_purity(s)
     dist_h0 = math.sqrt((s1 - h1) ** 2 + s2 * s2 + (s3 - h3) ** 2) / math.sqrt(2.0)
     dist_h90 = math.sqrt((s1 - g1) ** 2 + s2 * s2 + (s3 - g3) ** 2) / math.sqrt(2.0)
@@ -265,6 +263,18 @@ def _outcome(config: ProtocolConfig, rho_received: DensityMatrix) -> ProtocolOut
     # is replaced, so the count never changes
     return ProtocolOutcome(decision, theta, rho_received, purity_received, dist_h0, dist_h90,
                            stokes_spectrum(s), (n, n, n))
+
+
+def exact_read_out(s1, s3, theta_deg: float):
+    """_outcome's read-out, elementwise, of the received states with linear
+    Stokes components (s1, s3) for Alice's angle theta: their bloch_summary
+    and the array of eve_detected at the exact-mode thresholds."""
+    summary = bloch_summary(s1, s3)
+    h1, h3, g1, g3 = _hypotheses(theta_deg)
+    dist_h0 = np.hypot(s1 - h1, s3 - h3) / math.sqrt(2.0)
+    dist_h90 = np.hypot(s1 - g1, s3 - g3) / math.sqrt(2.0)
+    return summary, eve_detected(summary.purity, dist_h0, dist_h90,
+                                 EXACT_EPS_DISTANCE, EXACT_EPS_PURITY)
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolOutcome:

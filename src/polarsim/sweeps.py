@@ -18,21 +18,19 @@ import numpy as np
 from .polarization import (
     INT64_MAX,
     DensityMatrix,
-    bloch_summary,
+    check_angle,
     check_count,
     density_of_pure,
     linear_stokes,
     normalize_angle,
     pure_state,
+    unsign_zeros,
 )
 from .protocol import (
-    EVE_CODE,
-    EXACT_EPS_DISTANCE,
-    EXACT_EPS_PURITY,
     Decision,
     EveConfig,
     ProtocolConfig,
-    decision_codes,
+    exact_read_out,
     received_stokes,
     run_protocol,
 )
@@ -110,39 +108,23 @@ def _sampled_point(spec: SweepSpec, total: int) -> SweepRecord:
         tomography=replace(base.tomography, seed=_point_seed(spec.seed, total)),
     )
     outcome = run_protocol(config)
-    return SweepRecord(
-        siphon_total=total,
-        lambda_max=outcome.spectrum.lambda_max,
-        peak_angle_deg=outcome.spectrum.principal_angle_deg,
-        purity=outcome.purity_received,
-        detected=outcome.decision is Decision.EVE_DETECTED,
-    )
+    spectrum = outcome.spectrum
+    return SweepRecord(total, spectrum.lambda_max, spectrum.principal_angle_deg,
+                       outcome.purity_received, outcome.decision is Decision.EVE_DETECTED)
 
 
 def _exact_records(siphon_totals: Iterable[int], s1, s3, theta_deg: float) -> List[SweepRecord]:
-    """One record per received state with linear Stokes components (s1, s3):
-    the Bloch-vector spectrum and Alice's checks, at the exact-mode
-    thresholds, for her angle theta; angles are None where the spectrum is
-    degenerate."""
-    s1, s3 = np.ravel(s1), np.ravel(s3)
-    summary = bloch_summary(s1, s3)
-    # Frobenius distances |r - r_h| / sqrt(2) to Alice's two hypotheses: her
-    # state and its 90 deg rotation
-    h1, h3 = linear_stokes(theta_deg)
-    g1, g3 = linear_stokes(normalize_angle(theta_deg + 90.0))
-    codes = decision_codes(
-        summary.purity,
-        np.hypot(s1 - h1, s3 - h3) / math.sqrt(2.0),
-        np.hypot(s1 - g1, s3 - g3) / math.sqrt(2.0),
-        EXACT_EPS_DISTANCE, EXACT_EPS_PURITY,
-    )
+    """One record per received state with linear Stokes components (s1, s3),
+    from exact_read_out for Alice's angle theta; angles are None where the
+    spectrum is degenerate."""
+    summary, detected = exact_read_out(np.ravel(s1), np.ravel(s3), theta_deg)
     angles = summary.principal_angle_deg.astype(object)
     angles[np.isnan(summary.principal_angle_deg)] = None
     # tuple.__new__ builds each row in C; SweepRecord's own __new__ is a
     # Python function, one frame per row
     return list(map(tuple.__new__, itertools.repeat(SweepRecord), zip(
         siphon_totals, summary.lambda_max.tolist(), angles.tolist(),
-        summary.purity.tolist(), (codes == EVE_CODE).tolist(),
+        summary.purity.tolist(), detected.tolist(),
     )))
 
 
@@ -196,6 +178,9 @@ def sweep_delta_family(
     """
     if not deltas:
         raise ValueError("deltas must be nonempty")
+    # as in the configs, so a bool is not 1 or 0 degrees in the table key
+    for angle in (base_theta, *deltas):
+        check_angle(angle)
     for f in fraction_grid:
         if not 0.0 <= f <= 0.5:
             raise ValueError(f"fractions must be in [0, 0.5], got {f}")
@@ -229,14 +214,14 @@ def _write_rows(path, header: str, template: str, rows: Iterable, columns) -> No
     """Write `header` and one `template` line per row of `rows` to `path`.
 
     `columns` turns a block of rows into the template's cell columns. Each
-    block of rows is formatted by one `%`, and all of them before the file
-    is opened, so a row that cannot be formatted leaves no file.
+    block is formatted by one `%` and unsign_zeros, all before the file is
+    opened, so a row that cannot be formatted leaves no file.
     """
     rows = iter(rows)
     text = [header + "\n"]
     for block in iter(lambda: list(itertools.islice(rows, _CSV_BLOCK_ROWS)), []):
         cells = tuple(itertools.chain.from_iterable(zip(*columns(block))))
-        text.append(template * len(block) % cells)
+        text.append(unsign_zeros(template * len(block) % cells))
     try:
         with open(path, "w", newline="") as fh:
             fh.writelines(text)

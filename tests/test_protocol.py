@@ -87,12 +87,14 @@ def decision_inputs(draw):
 @example((1.0, 1e-9, 1e-9, 1e-9, 1e-6))
 @example((1.0 - 1e-6, 0.0, 1.0, 1e-9, 1e-6))
 @example((1.0, 0.25, 0.25, 0.5, 1e-6))
-def test_scalar_decision_matches_decision_codes(inputs):
-    # run_protocol decides with the scalar rule, the sweeps with the array
-    # rule
+def test_scalar_decision_matches_eve_detected(inputs):
+    # run_protocol decides with decide, the sweeps read Eve off eve_detected
+    # elementwise on arrays
     decision = protocol.decide(*inputs)
-    assert decision is protocol.DECISIONS[int(protocol.decision_codes(*inputs))]
-    _, dist_h0, dist_h90, _, _ = inputs
+    purity, dist_h0, dist_h90, eps_dist, eps_purity = inputs
+    [detected] = protocol.eve_detected(np.array([purity]), np.array([dist_h0]),
+                                       np.array([dist_h90]), eps_dist, eps_purity)
+    assert (decision is ps.Decision.EVE_DETECTED) is bool(detected)
     if dist_h0 == dist_h90 and decision is not ps.Decision.EVE_DETECTED:
         assert decision is ps.Decision.BIT0
 

@@ -196,6 +196,17 @@ class TestSweepDeltaFamily:
         with pytest.raises(ValueError):
             ps.sweep_delta_family(deltas=[])
 
+    @pytest.mark.parametrize("angles", [
+        {"base_theta": True}, {"deltas": [True]}, {"deltas": [15.0, False]},
+        {"base_theta": "30"}, {"deltas": ["15"]}, {"base_theta": None}, {"deltas": [None]},
+    ], ids=["bool-theta", "bool-delta", "false-delta", "str-theta", "str-delta",
+            "none-theta", "none-delta"])
+    def test_non_real_angle_rejected(self, angles):
+        # as every config: a bool is not 1 or 0 degrees, a string or None
+        # is a ValueError, not a TypeError
+        with pytest.raises(ValueError, match="polarization angle must be a real number"):
+            ps.sweep_delta_family(**angles)
+
     def test_siphon_total_is_the_fraction_of_the_default_budget(self):
         table = ps.sweep_delta_family()
         for (_, f), rec in table.items():
@@ -295,21 +306,40 @@ class TestCsvOutput:
         assert lines[0] == "delta_deg,fraction,lambda_max,peak_angle_deg"
         assert len(lines) == 1 + len(DEFAULT_DELTAS) * len(DEFAULT_FRACTIONS)
 
+    def test_no_signed_zero(self, tmp_path):
+        # a gap and a fraction that round to zero from below, and a spectrum
+        # whose angle does, print as format_decimal prints them
+        path = tmp_path / "family.csv"
+        write_delta_family_csv(ps.sweep_delta_family(
+            deltas=[-1e-9, 15.0], base_theta=30.0, fraction_grid=(-0.0, 0.25)), path)
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("0.000000,0.000000,")
+        assert not any("-0.000000" in line for line in lines)
+        ps.write_csv([ps.SweepRecord(0, -1e-9, -0.0, -0.0, False)], path)
+        assert path.read_text().splitlines()[1] == "0,0.000000,0.000000,0.000000,false"
+
     def test_unwritable_path_reports_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             ps.write_csv([], tmp_path / "no" / "such" / "dir.csv")
 
 
+def _fmt(x):
+    # format_decimal's rule: a value that rounds to zero prints without a sign
+    text = f"{x:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
 def _fmt_angle(angle):
-    return "" if angle is None else f"{angle:.6f}"
+    return "" if angle is None else _fmt(angle)
 
 
 def reference_csv(records):
     """A siphon-sweep CSV rendered one f-string per row, as write_csv did
-    before it formatted rows in blocks."""
+    before it formatted rows in blocks, each decimal by format_decimal's
+    rule."""
     lines = [SWEEP_CSV_HEADER]
     lines += [
-        f"{total},{lambda_max:.6f},{_fmt_angle(angle)},{purity:.6f},"
+        f"{total},{_fmt(lambda_max)},{_fmt_angle(angle)},{_fmt(purity)},"
         f"{'true' if detected else 'false'}"
         for total, lambda_max, angle, purity, detected in records
     ]
@@ -319,7 +349,7 @@ def reference_csv(records):
 def reference_delta_family_csv(table):
     lines = [DELTA_FAMILY_CSV_HEADER]
     lines += [
-        f"{delta:.6f},{fraction:.6f},{r.lambda_max:.6f},{_fmt_angle(r.peak_angle_deg)}"
+        f"{_fmt(delta)},{_fmt(fraction)},{_fmt(r.lambda_max)},{_fmt_angle(r.peak_angle_deg)}"
         for (delta, fraction), r in sorted(table.items())
     ]
     return "\n".join(lines) + "\n"
@@ -378,10 +408,11 @@ class TestCsvWriterMatchesPerRowRendering:
                 for angle in (None, -0.0, math.nan, math.inf, -math.inf, np.float64(12.5))]
         path = tmp_path / "special.csv"
         ps.write_csv(rows, path)
+        # -0.0 prints without its sign, as format_decimal prints it
         assert path.read_text().splitlines()[1:] == [
-            "7,-0.000000,,0.250000,true", "7,-0.000000,-0.000000,0.250000,true",
-            "7,-0.000000,nan,0.250000,true", "7,-0.000000,inf,0.250000,true",
-            "7,-0.000000,-inf,0.250000,true", "7,-0.000000,12.500000,0.250000,true",
+            "7,0.000000,,0.250000,true", "7,0.000000,0.000000,0.250000,true",
+            "7,0.000000,nan,0.250000,true", "7,0.000000,inf,0.250000,true",
+            "7,0.000000,-inf,0.250000,true", "7,0.000000,12.500000,0.250000,true",
         ]
         assert path.read_bytes() == reference_csv(rows).encode()
 
