@@ -30,25 +30,27 @@ def is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def check_count(value, message: str) -> None:
-    """Raise ValueError(f"{message}, got {value!r}") unless is_count(value)."""
-    # configs are built per protocol run: the type test passes a plain int
-    # for a fraction of the cost of is_count
-    if type(value) is not int and not is_count(value):
+def is_real(value) -> bool:
+    """True iff value is a Python or numpy int or float; a bool is not a real number."""
+    return isinstance(value, (float, np.floating)) or is_count(value)
+
+
+def check_count(value, message: str) -> int:
+    """value as a Python int; raise ValueError(f"{message}, got {value!r}") unless is_count."""
+    if type(value) is int:  # configs are built per protocol run: a plain int returns here
+        return value
+    if not is_count(value):
         raise ValueError(f"{message}, got {value!r}")
-
-
-def check_angle(value) -> None:
-    """Raise ValueError unless value is a Python or numpy int or float; a bool is not."""
-    if not (type(value) is float or isinstance(value, (float, np.floating)) or is_count(value)):
-        raise ValueError(f"polarization angle must be a real number, got {value!r}")
+    return int(value)
 
 
 def normalize_angle(raw_degrees: float) -> float:
-    """Reduce an angle in degrees to the canonical range [0, 180); a float strictly
-    inside (0, 180) passes through unchanged, and -0.0 becomes 0.0."""
+    """Reduce an angle in degrees to [0, 180), refusing one not is_real or not finite;
+    a float strictly inside (0, 180) returns unchanged, and -0.0 becomes 0.0."""
     if type(raw_degrees) is float and 0.0 < raw_degrees < 180.0:
         return raw_degrees
+    if type(raw_degrees) is not float and not is_real(raw_degrees):  # a float skips the call
+        raise ValueError(f"polarization angle must be a real number, got {raw_degrees!r}")
     if not math.isfinite(raw_degrees):
         raise ValueError(f"polarization angle must be finite, got {raw_degrees!r}")
     reduced = raw_degrees % 180.0
@@ -130,14 +132,10 @@ class PhotonEnsemble:
     def __post_init__(self) -> None:
         canonical = []
         for count, angle in self.components:
-            if type(count) is not int:
-                check_count(count, "photon counts must be integers")
+            count = check_count(count, "photon counts must be integers")
             if count < 0:
                 raise ValueError(f"photon counts must be non-negative, got {count}")
-            if type(angle) is not float or not 0.0 < angle < 180.0:  # normalize_angle's rule
-                check_angle(angle)
-                angle = normalize_angle(angle)
-            canonical.append((int(count), angle))
+            canonical.append((count, normalize_angle(angle)))
         object.__setattr__(self, "components", tuple(canonical))
 
     @property

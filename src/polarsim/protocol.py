@@ -23,7 +23,6 @@ from .polarization import (
     PhotonEnsemble,
     Spectrum,
     bloch_summary,
-    check_angle,
     check_count,
     density_of_pure,
     ensemble_density,
@@ -81,18 +80,19 @@ class EveConfig:
     enabled: bool = False
 
     def __post_init__(self) -> None:
-        check_count(self.siphon_stage1, "siphon counts must be integers")
-        check_count(self.siphon_stage2, "siphon counts must be integers")
+        s1 = check_count(self.siphon_stage1, "siphon counts must be integers")
+        s2 = check_count(self.siphon_stage2, "siphon counts must be integers")
         if type(self.enabled) is not bool:
             raise ValueError(f"enabled must be a bool, got {self.enabled!r}")
-        if self.siphon_stage1 < 0 or self.siphon_stage2 < 0:
+        if s1 < 0 or s2 < 0:
             raise ValueError("siphon counts must be non-negative")
-        if not self.enabled and (self.siphon_stage1 or self.siphon_stage2):
+        if not self.enabled and (s1 or s2):
             raise ValueError("a disabled Eve siphons nothing; set enabled=True to siphon")
-        phi = self.injection_angle_deg
-        if type(phi) is not float or not 0.0 < phi < 180.0:  # normalize_angle's pass-through
-            check_angle(phi)
-            object.__setattr__(self, "injection_angle_deg", normalize_angle(phi))
+        phi = normalize_angle(self.injection_angle_deg)
+        # a canonical value comes back as given; rewriting it would cost more than checking it
+        if (s1 is not self.siphon_stage1 or s2 is not self.siphon_stage2
+                or phi is not self.injection_angle_deg):
+            self.__dict__.update(siphon_stage1=s1, siphon_stage2=s2, injection_angle_deg=phi)
 
     @classmethod
     def disabled(cls) -> "EveConfig":
@@ -113,20 +113,19 @@ class ProtocolConfig:
     tomography: TomographyConfig = _DEFAULT_TOMOGRAPHY
 
     def __post_init__(self) -> None:
-        check_count(self.n_photons, "n_photons must be an integer")
-        if self.n_photons < 1:
+        n = check_count(self.n_photons, "n_photons must be an integer")
+        if n < 1:
             raise ValueError("n_photons must be positive")
-        if not (type(self.bob_bit) is int or is_count(self.bob_bit)) or self.bob_bit not in (0, 1):
+        if not is_count(self.bob_bit) or self.bob_bit not in (0, 1):
             raise ValueError("bob_bit must be 0 or 1")
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        theta = self.alice_angle_deg
-        if type(theta) is not float or not 0.0 < theta < 180.0:  # normalize_angle's pass-through
-            check_angle(theta)
-            object.__setattr__(self, "alice_angle_deg", normalize_angle(theta))
+        theta = normalize_angle(self.alice_angle_deg)
+        if n is not self.n_photons or theta is not self.alice_angle_deg:  # as EveConfig's
+            self.__dict__.update(n_photons=n, alice_angle_deg=theta)
         # Eve siphons only Alice's untouched photons (see _received_populations);
         # this is a run's siphon bound, and SweepSpec's totals keep within it
-        n, siphon1, siphon2 = self.n_photons, self.eve.siphon_stage1, self.eve.siphon_stage2
+        siphon1, siphon2 = self.eve.siphon_stage1, self.eve.siphon_stage2
         if siphon1 > n:
             raise _siphon_error(siphon1, n)
         if siphon2 > n - siphon1:

@@ -18,9 +18,9 @@ import numpy as np
 from .polarization import (
     INT64_MAX,
     DensityMatrix,
-    check_angle,
     check_count,
     density_of_pure,
+    is_real,
     linear_stokes,
     normalize_angle,
     pure_state,
@@ -61,9 +61,9 @@ class SweepSpec:
             self.n_photons, self.theta_deg, self.bob_bit, EveConfig(0, 0, self.phi_deg),
             self.mode, TomographyConfig(seed=self.seed),
         )
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "theta_deg", config.alice_angle_deg)
-        object.__setattr__(self, "phi_deg", config.eve.injection_angle_deg)
+        self.__dict__.update(config=config, theta_deg=config.alice_angle_deg,
+                             phi_deg=config.eve.injection_angle_deg,
+                             n_photons=config.n_photons, seed=config.tomography.seed)
         if self.n_photons > INT64_MAX:
             raise ValueError(
                 "sweeps count photons as numpy int64, so n_photons must be "
@@ -72,14 +72,12 @@ class SweepSpec:
         # a sweep's siphon bound: an even total t <= n splits into halves t/2
         # within ProtocolConfig's (t/2 <= n, t/2 <= n - t/2); a bad total is
         # reported before the order of the totals
-        for t in self.siphon_totals:
-            if type(t) is not int:
-                check_count(t, "siphon totals must be integers")
+        totals = tuple(check_count(t, "siphon totals must be integers") for t in self.siphon_totals)
+        for t in totals:
             if t < 0 or t % 2 != 0:
                 raise ValueError(f"siphon totals must be non-negative even integers, got {t}")
             if t > self.n_photons:
                 raise ValueError(f"siphon total {t} exceeds n_photons {self.n_photons}")
-        totals = tuple(map(int, self.siphon_totals))
         if any(a >= b for a, b in zip(totals, totals[1:])):
             raise ValueError("siphon totals must be strictly increasing")
         object.__setattr__(self, "siphon_totals", totals)
@@ -143,10 +141,15 @@ def sweep_siphon(spec: SweepSpec) -> List[SweepRecord]:
     return _exact_records(spec.siphon_totals, s1, s3, spec.theta_deg)
 
 
+def _check_fraction(fraction, upper: float) -> None:
+    """Raise ValueError unless fraction is_real (a bool is not) and in [0, upper]."""
+    if not (is_real(fraction) and 0.0 <= fraction <= upper):
+        raise ValueError(f"fraction must be in [0, {upper}], got {fraction!r}")
+
+
 def mixture_density(theta_deg: float, phi_deg: float, fraction: float) -> DensityMatrix:
     """Exact convex combination (1-f) rho(theta) + f rho(phi)."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
+    _check_fraction(fraction, 1)
     a = density_of_pure(pure_state(theta_deg)).matrix
     b = density_of_pure(pure_state(phi_deg)).matrix
     return DensityMatrix((1.0 - fraction) * a + fraction * b)
@@ -158,8 +161,7 @@ def closed_form_lambda_max(fraction: float, delta_deg: float) -> float:
 
     Independent of the simulation path; used as a cross-check oracle.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
+    _check_fraction(fraction, 1)
     s = math.sin(math.radians(delta_deg))
     return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * fraction * (1.0 - fraction) * s * s)))
 
@@ -178,12 +180,12 @@ def sweep_delta_family(
     """
     if not deltas:
         raise ValueError("deltas must be nonempty")
-    # as in the configs, so a bool is not 1 or 0 degrees in the table key
-    for angle in (base_theta, *deltas):
-        check_angle(angle)
+    # as in the configs, so a bool is not 1 or 0 degrees, or a fraction, in the table key
+    theta = normalize_angle(base_theta)
+    for delta in deltas:
+        normalize_angle(delta)
     for f in fraction_grid:
-        if not 0.0 <= f <= 0.5:
-            raise ValueError(f"fractions must be in [0, 0.5], got {f}")
+        _check_fraction(f, 0.5)
     # a repeated value would collide with itself as a table key (as -0.0
     # does with 0.0) and silently drop grid points
     for name, values in (("deltas", deltas), ("fractions", fraction_grid)):
@@ -192,7 +194,6 @@ def sweep_delta_family(
             if value in seen:
                 raise ValueError(f"{name} must not repeat, got {value} twice")
             seen.add(value)
-    theta = normalize_angle(base_theta)
     a1, a3 = linear_stokes(theta)
     b1, b3 = linear_stokes(np.array([[normalize_angle(base_theta + d)] for d in deltas]))
     f = np.array(fraction_grid, dtype=float)

@@ -41,17 +41,19 @@ class TomographyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_count(self.photons_per_basis, "photons_per_basis must be an integer")
-        if self.photons_per_basis < 1:
+        photons = check_count(self.photons_per_basis, "photons_per_basis must be an integer")
+        if photons < 1:
             raise ValueError("photons_per_basis must be >= 1")
-        if self.photons_per_basis > INT64_MAX:
+        if photons > INT64_MAX:
             raise ValueError(
                 "tomography draws its counts as numpy int64, so photons_per_basis must be "
-                f"at most {INT64_MAX}, got {self.photons_per_basis}"
+                f"at most {INT64_MAX}, got {photons}"
             )
-        check_count(self.seed, "seed must be an integer")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        seed = check_count(self.seed, "seed must be an integer")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        if photons is not self.photons_per_basis or seed is not self.seed:  # as EveConfig's
+            self.__dict__.update(photons_per_basis=photons, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -240,13 +240,20 @@ ANGLE_BUILDS = {
 }
 
 
-@pytest.mark.parametrize("build", ANGLE_BUILDS.values(), ids=ANGLE_BUILDS.keys())
+@pytest.mark.parametrize(
+    "build",
+    [ps.normalize_angle, ps.pure_state, lambda angle: ps.mixture_density(angle, 60.0, 0.1),
+     lambda angle: ps.mixture_density(30.0, angle, 0.1), *ANGLE_BUILDS.values()],
+    ids=["normalize_angle", "pure_state", "mixture-theta", "mixture-phi", *ANGLE_BUILDS.keys()],
+)
 @pytest.mark.parametrize(
     "angle", [True, False, np.bool_(True), "30", None, 30 + 0j, np.complex128(30)],
     ids=["bool", "false", "numpy-bool", "str", "none", "complex", "numpy-complex"],
 )
 def test_angles_must_be_real_numbers(build, angle):
-    # a bool once ran as 1 or 0 degrees, and a string or None raised TypeError
+    # a bool once ran as 1 or 0 degrees, and a string or None raised TypeError;
+    # normalize_angle itself, and the helpers that call it directly, read True
+    # as 1 degree after the configs had stopped doing so
     message = f"polarization angle must be a real number, got {angle!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(angle)
@@ -317,6 +324,25 @@ def test_non_finite_angles_keep_their_message(build, angle):
     message = f"polarization angle must be finite, got {angle!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(angle)
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_mixed_numpy_counts_run_as_python_ints(mode):
+    # numpy's uint64 - int64 is float64, so exact mode once refused Alice's
+    # population computed from these counts as a non-integer count
+    def build(n, siphon, ppb, seed):
+        eve = ps.EveConfig(siphon, 0, 45.0, enabled=True)
+        return ps.ProtocolConfig(n, 30.0, 0, eve, mode, ps.TomographyConfig(ppb, seed))
+
+    mixed = build(np.uint64(10), np.int64(3), np.uint64(1000), np.int64(5))
+    plain = build(10, 3, 1000, 5)
+    assert ps.run_protocol(mixed).to_key_value_block() == ps.run_protocol(plain).to_key_value_block()
+    spec = ps.SweepSpec(30.0, 45.0, np.int64(1), np.uint64(10), np.arange(0, 6, 2), mode,
+                        np.uint64(5))
+    stored = (mixed.n_photons, mixed.eve.siphon_stage1, mixed.eve.siphon_stage2,
+              mixed.tomography.photons_per_basis, mixed.tomography.seed,
+              spec.n_photons, spec.seed, *spec.siphon_totals)
+    assert [type(count) for count in stored] == [int] * len(stored)
 
 
 def test_numpy_integer_counts_accepted():

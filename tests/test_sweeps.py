@@ -101,6 +101,19 @@ def test_fraction_out_of_range_rejected(call, fraction):
         call(fraction)
 
 
+@pytest.mark.parametrize("call", [
+    _mixture, _closed_form, _delta_family,
+    lambda f: ps.sweep_delta_family(fraction_grid=(f, 0.25)),
+], ids=["mixture", "closed_form", "delta_family", "delta_family-first"])
+@pytest.mark.parametrize("fraction", [True, False, "0.1", None],
+                         ids=["true", "false", "str", "none"])
+def test_non_real_fraction_rejected(call, fraction):
+    # a bool once ran as 1 or 0 (the delta family keyed its table by it),
+    # and a string or None raised TypeError from the range test
+    with pytest.raises(ValueError, match=r"^fraction must be in \[0, "):
+        call(fraction)
+
+
 class TestClosedFormLambdaMax:
     def test_worked_example_point(self):
         assert ps.closed_form_lambda_max(0.2, 15) == pytest.approx(0.98917, abs=1e-5)
