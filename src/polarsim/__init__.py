@@ -2,24 +2,20 @@
 photon siphon-and-inject eavesdropping by tracking both beam intensity and the
 received density matrix (via simulated quantum state tomography)."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .polarization import (
     DensityMatrix,
     PhotonEnsemble,
-    PureState,
     Spectrum,
     StokesVector,
     density_from_stokes,
     density_of_pure,
     eigendecompose,
-    ensemble,
     ensemble_density,
     matrix_distance,
     normalize_angle,
-    pure_state,
     purity,
-    rotate_ensemble,
     stokes_from_density,
 )
 from .protocol import (
@@ -57,7 +53,6 @@ __all__ = [
     "PhotonEnsemble",
     "ProtocolConfig",
     "ProtocolOutcome",
-    "PureState",
     "Spectrum",
     "StokesVector",
     "SweepRecord",
@@ -69,16 +64,13 @@ __all__ = [
     "density_from_stokes",
     "density_of_pure",
     "eigendecompose",
-    "ensemble",
     "ensemble_density",
     "intensity_check",
     "matrix_distance",
     "mixture_density",
     "normalize_angle",
-    "pure_state",
     "purity",
     "reconstruct",
-    "rotate_ensemble",
     "run_protocol",
     "simulate_counts",
     "stokes_estimate",

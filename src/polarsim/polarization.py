@@ -1,5 +1,5 @@
-"""Linear-polarization qubit kernel: pure states, density operators, mixtures,
-rotations, Stokes coordinates, and closed-form 2x2 eigendecomposition, plus
+"""Linear-polarization qubit kernel: pure-state projectors, density operators,
+mixtures, Stokes coordinates, and closed-form 2x2 eigendecomposition, plus
 the elementwise Bloch-vector kernel that the exact-mode sweeps run on.
 
 Everything here is an exact, deterministic function of its inputs. Angles are
@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -59,25 +59,11 @@ def normalize_angle(raw_degrees: float) -> float:
     return reduced
 
 
-class PureState(NamedTuple):
-    """Real-amplitude polarization qubit (cos t, sin t); circular components
-    never arise in this protocol."""
-
-    a0: float
-    a1: float
-
-
 class StokesVector(NamedTuple):
     s0: float
     s1: float
     s2: float
     s3: float
-
-
-def pure_state(angle_degrees: float) -> PureState:
-    """Pure linear-polarization state at the given angle."""
-    theta = math.radians(normalize_angle(angle_degrees))
-    return PureState(math.cos(theta), math.sin(theta))
 
 
 @dataclass(frozen=True)
@@ -143,19 +129,13 @@ class PhotonEnsemble:
         return sum(count for count, _ in self.components)
 
 
-def ensemble(components: Sequence[Tuple[int, float]]) -> PhotonEnsemble:
-    return PhotonEnsemble(tuple(components))
-
-
-def density_of_pure(state: PureState) -> DensityMatrix:
-    """Projector |psi><psi| of a normalized real-amplitude state."""
-    a0, a1 = state
-    m00, m11 = a0 * a0, a1 * a1
-    norm = m00 + m11
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"pure state is not normalized: |a|^2 = {norm}")
+def density_of_pure(angle_degrees: float) -> DensityMatrix:
+    """Projector |psi><psi| of the linear polarization psi = (cos t, sin t)
+    at the angle t, reduced by normalize_angle."""
+    theta = math.radians(normalize_angle(angle_degrees))
+    a0, a1 = math.cos(theta), math.sin(theta)
     m01 = a0 * a1
-    return DensityMatrix(np.array([[m00, m01], [m01, m11]], dtype=complex))
+    return DensityMatrix(np.array([[a0 * a0, m01], [m01, a1 * a1]], dtype=complex))
 
 
 def mixture_entries(
@@ -185,13 +165,6 @@ def ensemble_density(ens: PhotonEnsemble) -> DensityMatrix:
     """Convex combination sum_i p_i |psi_i><psi_i| with p_i = count_i / total."""
     m00, m01, m11 = mixture_entries(ens.components, ens.total)
     return DensityMatrix(((m00, m01), (m01, m11)))
-
-
-def rotate_ensemble(ens: PhotonEnsemble, delta_degrees: float) -> PhotonEnsemble:
-    """Rotate every component by delta; counts are unchanged."""
-    return PhotonEnsemble(
-        tuple((count, normalize_angle(angle + delta_degrees)) for count, angle in ens.components)
-    )
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -29,7 +29,6 @@ from .polarization import (
     is_count,
     linear_stokes,
     normalize_angle,
-    pure_state,
     stokes_from_density,
     stokes_purity,
     stokes_spectrum,
@@ -155,12 +154,12 @@ class ProtocolOutcome(NamedTuple):
     @property
     def rho_hypothesis_0(self) -> DensityMatrix:
         """What Alice expects back for bit 0: her own state."""
-        return density_of_pure(pure_state(self.alice_angle_deg))
+        return density_of_pure(self.alice_angle_deg)
 
     @property
     def rho_hypothesis_90(self) -> DensityMatrix:
         """What Alice expects back for bit 1: her state rotated by 90 deg."""
-        return density_of_pure(pure_state(self.alice_angle_deg + 90.0))
+        return density_of_pure(self.alice_angle_deg + 90.0)
 
     def _report_values(self) -> tuple:
         """The values of _REPORT_FIELDS, the one table both renderings read."""

@@ -23,7 +23,6 @@ from .polarization import (
     is_real,
     linear_stokes,
     normalize_angle,
-    pure_state,
     unsign_zeros,
 )
 from .protocol import (
@@ -150,8 +149,8 @@ def _check_fraction(fraction, upper: float) -> None:
 def mixture_density(theta_deg: float, phi_deg: float, fraction: float) -> DensityMatrix:
     """Exact convex combination (1-f) rho(theta) + f rho(phi)."""
     _check_fraction(fraction, 1)
-    a = density_of_pure(pure_state(theta_deg)).matrix
-    b = density_of_pure(pure_state(phi_deg)).matrix
+    a = density_of_pure(theta_deg).matrix
+    b = density_of_pure(phi_deg).matrix
     return DensityMatrix((1.0 - fraction) * a + fraction * b)
 
 
@@ -162,6 +161,7 @@ def closed_form_lambda_max(fraction: float, delta_deg: float) -> float:
     Independent of the simulation path; used as a cross-check oracle.
     """
     _check_fraction(fraction, 1)
+    normalize_angle(delta_deg)  # refuses what sweep_delta_family refuses as a gap
     s = math.sin(math.radians(delta_deg))
     return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * fraction * (1.0 - fraction) * s * s)))
 

@@ -13,6 +13,7 @@ closed form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Tuple
 
@@ -68,9 +69,13 @@ class MeasurementCounts:
     n_l: int
 
     def __post_init__(self) -> None:
-        if min(self.n_h, self.n_v, self.n_d, self.n_a, self.n_r, self.n_l) < 0:
-            name = next(f.name for f in fields(self) if getattr(self, f.name) < 0)
+        given = (self.n_h, self.n_v, self.n_d, self.n_a, self.n_r, self.n_l)
+        counts = [check_count(n, "measurement counts must be integers") for n in given]
+        if min(counts) < 0:
+            name = next(f.name for f, n in zip(fields(self), counts) if n < 0)
             raise ValueError(f"{name} must be non-negative")
+        if any(map(operator.is_not, counts, given)):  # as the configs, write only what changed
+            self.__dict__.update(zip((f.name for f in fields(self)), counts))
 
     def to_csv_row(self) -> str:
         return f"{self.n_h},{self.n_v},{self.n_d},{self.n_a},{self.n_r},{self.n_l}"

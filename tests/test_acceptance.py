@@ -24,7 +24,7 @@ def criterion(label):
 
 
 def rho(angle_deg):
-    return ps.density_of_pure(ps.pure_state(angle_deg))
+    return ps.density_of_pure(angle_deg)
 
 
 MIX = np.array([[0.7, 0.4464], [0.4464, 0.3]])
@@ -32,13 +32,13 @@ MIX = np.array([[0.7, 0.4464], [0.4464, 0.3]])
 
 def test_criterion_1_worked_example_matrix():
     with criterion("criterion 1: worked-example mixture matrix"):
-        m = ps.ensemble_density(ps.ensemble([(80, 30), (20, 45)])).matrix
+        m = ps.ensemble_density(ps.PhotonEnsemble(((80, 30), (20, 45)))).matrix
         assert np.max(np.abs(m - MIX)) < 1e-3
 
 
 def test_criterion_2_worked_example_spectrum():
     with criterion("criterion 2: worked-example eigenvalues and principal angle"):
-        spec = ps.eigendecompose(ps.ensemble_density(ps.ensemble([(80, 30), (20, 45)])))
+        spec = ps.eigendecompose(ps.ensemble_density(ps.PhotonEnsemble(((80, 30), (20, 45)))))
         assert abs(spec.lambda_max - 0.9892) < 5e-4
         assert abs(spec.lambda_min - 0.0108) < 5e-4
         assert abs(spec.principal_angle_deg - 32.93) <= 0.05
@@ -73,8 +73,8 @@ def test_criterion_5_oracle_equivalence():
         for f100 in range(0, 51, 5):
             for delta in deltas:
                 comps = [(100 - f100, 10.0), (f100, 10.0 + delta)]
-                comps = [(c, a) for c, a in comps if c > 0]
-                brute = np.linalg.eigvalsh(ps.ensemble_density(ps.ensemble(comps)).matrix).max()
+                comps = tuple((c, a) for c, a in comps if c > 0)
+                brute = np.linalg.eigvalsh(ps.ensemble_density(ps.PhotonEnsemble(comps)).matrix).max()
                 assert abs(ps.closed_form_lambda_max(f100 / 100, delta) - brute) < 1e-10
         # then check the sweep path against the validated closed form
         for delta in deltas:
@@ -165,9 +165,10 @@ def test_criterion_9_property_suites():
             counts = [int(c) for c in rng.integers(1, 60, size=3)]
             angles = rng.uniform(0, 180, size=3)
             delta = rng.uniform(-360, 360)
-            e = ps.ensemble(list(zip(counts, angles)))
+            e = ps.PhotonEnsemble(tuple(zip(counts, angles)))
             before = ps.eigendecompose(ps.ensemble_density(e))
-            after = ps.eigendecompose(ps.ensemble_density(ps.rotate_ensemble(e, delta)))
+            after = ps.eigendecompose(ps.ensemble_density(
+                ps.PhotonEnsemble(tuple((c, a + delta) for c, a in e.components))))
             assert abs(after.lambda_max - before.lambda_max) < 1e-12
             assert abs(after.lambda_min - before.lambda_min) < 1e-12
 

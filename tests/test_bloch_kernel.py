@@ -31,10 +31,10 @@ MIN_COHERENCE = 1e-6
 def reference(components, theta):
     """(rho, purity, spectrum, dist_h0, dist_h90, decision or None) for
     received (count, angle) populations and Alice's angle theta."""
-    rho = ps.ensemble_density(ps.ensemble([(c, a) for c, a in components if c > 0]))
+    rho = ps.ensemble_density(ps.PhotonEnsemble(tuple((c, a) for c, a in components if c > 0)))
     p = ps.purity(rho)
-    d0 = ps.matrix_distance(rho, ps.density_of_pure(ps.pure_state(theta)))
-    d90 = ps.matrix_distance(rho, ps.density_of_pure(ps.pure_state(theta + 90.0)))
+    d0 = ps.matrix_distance(rho, ps.density_of_pure(theta))
+    d90 = ps.matrix_distance(rho, ps.density_of_pure(theta + 90.0))
     near = [abs(p - (1.0 - EXACT_EPS_PURITY)), abs(d0 - EXACT_EPS_DISTANCE),
             abs(d90 - EXACT_EPS_DISTANCE), abs(d0 - d90)]
     if min(near) < MARGIN:

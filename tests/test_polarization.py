@@ -20,7 +20,7 @@ MIX_PURITY = 0.9785640646055103
 
 
 def rho(angle_deg):
-    return ps.density_of_pure(ps.pure_state(angle_deg))
+    return ps.density_of_pure(angle_deg)
 
 
 def random_physical_density(rng):
@@ -51,23 +51,25 @@ class TestNormalizeAngle:
 
 
 class TestPureState:
+    # density_of_pure builds |psi><psi| from psi = (cos t, sin t): real entries
+    # (cos^2 t, cos t sin t, sin^2 t), with no circular component
     def test_paper_30_degrees(self):
-        s = ps.pure_state(30)
-        assert s.a0 == pytest.approx(SQRT3 / 2, abs=1e-12)
-        assert s.a1 == pytest.approx(0.5, abs=1e-12)
+        (m00, m01), (m10, m11) = ps.density_of_pure(30).matrix.tolist()
+        assert m00 == pytest.approx(0.75, abs=1e-12)
+        assert m01 == m10 == pytest.approx(SQRT3 / 4, abs=1e-12)
+        assert m11 == pytest.approx(0.25, abs=1e-12)
+        assert m00.imag == m01.imag == m10.imag == m11.imag == 0.0
 
     def test_45_degrees(self):
-        s = ps.pure_state(45)
-        assert s.a0 == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert s.a1 == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert ps.density_of_pure(45).matrix.ravel().tolist() == pytest.approx([0.5] * 4, abs=1e-12)
 
     def test_basis_state(self):
-        assert ps.pure_state(0) == pytest.approx((1.0, 0.0))
+        assert ps.density_of_pure(0).matrix.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     @given(st.floats(min_value=0, max_value=179.999))
     def test_normalized(self, angle):
-        s = ps.pure_state(angle)
-        assert s.a0 * s.a0 + s.a1 * s.a1 == pytest.approx(1.0, abs=1e-12)
+        (m00, _), (_, m11) = ps.density_of_pure(angle).matrix.tolist()
+        assert (m00 + m11).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDensityMatrix:
@@ -113,10 +115,6 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match=message):
             DensityMatrix(matrix)
 
-    def test_rejects_unnormalized_pure_state(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            ps.density_of_pure(ps.PureState(1.0, 1.0))
-
     def test_matrix_is_read_only(self):
         with pytest.raises(ValueError):
             rho(30).matrix[0, 0] = 5.0
@@ -124,28 +122,28 @@ class TestDensityMatrix:
 
 class TestEnsembleDensity:
     def test_worked_mixture(self):
-        m = ps.ensemble_density(ps.ensemble([(80, 30), (20, 45)])).matrix
+        m = ps.ensemble_density(ps.PhotonEnsemble(((80, 30), (20, 45)))).matrix
         assert np.allclose(m, MIX_MATRIX, atol=1e-12)
 
     def test_single_component_is_pure(self):
-        m = ps.ensemble_density(ps.ensemble([(100, 30)])).matrix
+        m = ps.ensemble_density(ps.PhotonEnsemble(((100, 30),))).matrix
         assert np.allclose(m, rho(30).matrix, atol=1e-12)
 
     def test_orthogonal_mixture_is_maximally_mixed(self):
-        m = ps.ensemble_density(ps.ensemble([(50, 0), (50, 90)])).matrix
+        m = ps.ensemble_density(ps.PhotonEnsemble(((50, 0), (50, 90)))).matrix
         assert np.allclose(m, [[0.5, 0], [0, 0.5]], atol=1e-12)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
-            ps.ensemble_density(ps.ensemble([(0, 30)]))
+            ps.ensemble_density(ps.PhotonEnsemble(((0, 30),)))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            ps.ensemble([(-1, 30), (2, 45)])
+            ps.PhotonEnsemble(((-1, 30), (2, 45)))
 
     def test_fractional_counts_rejected(self):
         with pytest.raises(ValueError, match="integer"):
-            ps.ensemble([(10.5, 30)])
+            ps.PhotonEnsemble(((10.5, 30),))
 
     @settings(max_examples=500, deadline=None)
     @given(st.floats(min_value=-720.0, max_value=720.0, exclude_min=True, exclude_max=True))
@@ -167,27 +165,16 @@ class TestEnsembleDensity:
 
 
 class TestRotateEnsemble:
-    def test_identity(self):
-        e = ps.ensemble([(100, 30)])
-        assert ps.rotate_ensemble(e, 0).components == ((100, 30.0),)
-
-    def test_quarter_turn(self):
-        e = ps.ensemble([(100, 30)])
-        assert ps.rotate_ensemble(e, 90).components == ((100, 120.0),)
-
-    def test_componentwise(self):
-        e = ps.ensemble([(95, 30), (5, 45)])
-        assert ps.rotate_ensemble(e, 90).components == ((95, 120.0), (5, 135.0))
-
     def test_spectrum_invariant_under_rotation(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             counts = rng.integers(1, 50, size=3)
             angles = rng.uniform(0, 180, size=3)
             delta = rng.uniform(-360, 360)
-            e = ps.ensemble(list(zip((int(c) for c in counts), angles)))
+            e = ps.PhotonEnsemble(tuple(zip((int(c) for c in counts), angles)))
             before = ps.eigendecompose(ps.ensemble_density(e))
-            after = ps.eigendecompose(ps.ensemble_density(ps.rotate_ensemble(e, delta)))
+            after = ps.eigendecompose(ps.ensemble_density(
+                ps.PhotonEnsemble(tuple((c, a + delta) for c, a in e.components))))
             assert after.lambda_max == pytest.approx(before.lambda_max, abs=1e-12)
             assert after.lambda_min == pytest.approx(before.lambda_min, abs=1e-12)
 
@@ -311,7 +298,7 @@ class TestEigendecompose:
                 theta = 20.0
                 counts = [(n - f100, theta), (f100, theta + delta)]
                 counts = [(c, a) for c, a in counts if c > 0]
-                spec = ps.eigendecompose(ps.ensemble_density(ps.ensemble(counts)))
+                spec = ps.eigendecompose(ps.ensemble_density(ps.PhotonEnsemble(tuple(counts))))
                 expected = 0.5 * (
                     1 + math.sqrt(1 - 4 * f * (1 - f) * math.sin(math.radians(delta)) ** 2)
                 )

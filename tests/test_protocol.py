@@ -30,7 +30,7 @@ MIX = DensityMatrix(np.array([[0.7, 0.44641016151377546], [0.44641016151377546, 
 
 
 def rho(angle_deg):
-    return ps.density_of_pure(ps.pure_state(angle_deg))
+    return ps.density_of_pure(angle_deg)
 
 
 def config(theta=30.0, bit=0, n=100, eve=None, mode="exact", seed=0, ppb=100_000):
@@ -231,6 +231,11 @@ def test_photon_counts_must_be_integers(build, message):
         build()
 
 
+def lambda_max_gap(angle):
+    # closed_form_lambda_max once read True as a 1 degree gap, and NaN as no gap
+    return ps.closed_form_lambda_max(0.2, angle)
+
+
 ANGLE_BUILDS = {
     "theta": lambda angle: config(theta=angle),
     "eve-angle": lambda angle: ps.EveConfig(1, 0, angle, enabled=True),
@@ -242,9 +247,10 @@ ANGLE_BUILDS = {
 
 @pytest.mark.parametrize(
     "build",
-    [ps.normalize_angle, ps.pure_state, lambda angle: ps.mixture_density(angle, 60.0, 0.1),
-     lambda angle: ps.mixture_density(30.0, angle, 0.1), *ANGLE_BUILDS.values()],
-    ids=["normalize_angle", "pure_state", "mixture-theta", "mixture-phi", *ANGLE_BUILDS.keys()],
+    [ps.normalize_angle, ps.density_of_pure, lambda angle: ps.mixture_density(angle, 60.0, 0.1),
+     lambda angle: ps.mixture_density(30.0, angle, 0.1), lambda_max_gap, *ANGLE_BUILDS.values()],
+    ids=["normalize_angle", "pure_state", "mixture-theta", "mixture-phi", "lambda-max-gap",
+         *ANGLE_BUILDS.keys()],
 )
 @pytest.mark.parametrize(
     "angle", [True, False, np.bool_(True), "30", None, 30 + 0j, np.complex128(30)],
@@ -317,8 +323,8 @@ def test_canonical_angles_pass_through_as_the_reduction_gives(angle):
         assert (repr(stored), type(stored)) == (repr(expected), type(expected)), name
 
 
-@pytest.mark.parametrize("build", [ps.normalize_angle, *ANGLE_BUILDS.values()],
-                         ids=["normalize_angle", *ANGLE_BUILDS.keys()])
+@pytest.mark.parametrize("build", [ps.normalize_angle, lambda_max_gap, *ANGLE_BUILDS.values()],
+                         ids=["normalize_angle", "lambda-max-gap", *ANGLE_BUILDS.keys()])
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_angles_keep_their_message(build, angle):
     message = f"polarization angle must be finite, got {angle!r}"

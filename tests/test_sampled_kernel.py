@@ -77,7 +77,7 @@ def reference(config):
     stream = eve_stage(stream, eve.siphon_stage1)
     stream = [(c, ps.normalize_angle(a + 90.0 * config.bob_bit)) for c, a in stream]
     stream = eve_stage(stream, eve.siphon_stage2)
-    rho_true = ps.ensemble_density(ps.ensemble([(c, a) for c, a in stream if c > 0]))
+    rho_true = ps.ensemble_density(ps.PhotonEnsemble(tuple((c, a) for c, a in stream if c > 0)))
     p_h, _, p_d, _, p_r, _ = ps.born_probabilities(rho_true)
     n = config.tomography.photons_per_basis
     n_h, n_d, n_r = (int(rng.binomial(n, p)) for p in (p_h, p_d, p_r))
@@ -143,8 +143,8 @@ def test_sampled_run_matches_the_stream_path(config):
 
     theta = config.alice_angle_deg
     purity = ps.purity(ref_rho)
-    d0 = ps.matrix_distance(ref_rho, ps.density_of_pure(ps.pure_state(theta)))
-    d90 = ps.matrix_distance(ref_rho, ps.density_of_pure(ps.pure_state(theta + 90.0)))
+    d0 = ps.matrix_distance(ref_rho, ps.density_of_pure(theta))
+    d90 = ps.matrix_distance(ref_rho, ps.density_of_pure(theta + 90.0))
     assert outcome.purity_received == pytest.approx(purity, abs=TOL)
     assert outcome.dist_to_h0 == pytest.approx(d0, abs=TOL)
     assert outcome.dist_to_h90 == pytest.approx(d90, abs=TOL)
@@ -286,7 +286,7 @@ def test_born_probabilities_repeat_the_matrix_path():
         b = rng.randint(0, n - a)
         populations = [(a, 0.5 * rng.randrange(360)), (b, rng.uniform(0, 180)),
                        (n - a - b, rng.uniform(0, 180))]
-        rho = ps.ensemble_density(ps.ensemble([p for p in populations if p[0]]))
+        rho = ps.ensemble_density(ps.PhotonEnsemble(tuple(p for p in populations if p[0])))
         p_h, _, p_d, _, p_r, _ = ps.born_probabilities(rho)
         assert tomography._born_probabilities(populations, n) == (p_h, p_d, p_r)
 

@@ -124,13 +124,21 @@ class TestClosedFormLambdaMax:
     def test_orthogonal_half_mix_is_maximally_mixed(self):
         assert ps.closed_form_lambda_max(0.5, 90) == pytest.approx(0.5, abs=1e-12)
 
+    @given(st.floats(0.0, 1.0), st.one_of(st.floats(0.0, 180.0, exclude_max=True),
+                                          st.integers(0, 179)))
+    def test_gap_is_checked_but_read_as_given(self, f, delta):
+        # the gap's check changes no float the formula gives on [0, 180)
+        s = math.sin(math.radians(delta))
+        expected = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * f * (1.0 - f) * s * s)))
+        assert repr(ps.closed_form_lambda_max(f, delta)) == repr(expected)
+
     def test_validated_against_brute_force_ensembles(self):
         n = 100
         for f100 in range(0, 51, 5):
             for delta in (7.5, 15, 30, 60, 90):
                 comps = [(n - f100, 30.0), (f100, 30.0 + delta)]
                 comps = [(c, a) for c, a in comps if c > 0]
-                rho = ps.ensemble_density(ps.ensemble(comps))
+                rho = ps.ensemble_density(ps.PhotonEnsemble(tuple(comps)))
                 brute = np.linalg.eigvalsh(rho.matrix).max()
                 assert ps.closed_form_lambda_max(f100 / n, delta) == pytest.approx(
                     brute, abs=1e-10

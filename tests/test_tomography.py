@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from polarsim.tomography import measure, reconstruct_from_stokes
 
 
 def rho(angle_deg):
-    return ps.density_of_pure(ps.pure_state(angle_deg))
+    return ps.density_of_pure(angle_deg)
 
 
 MIX = DensityMatrix(np.array([[0.7, 0.44641016151377546], [0.44641016151377546, 0.3]]))
@@ -74,7 +75,7 @@ class TestMeasure:
         for _ in range(300):
             components = [(rng.randint(0, 10**6), rng.uniform(0, 360))
                           for _ in range(rng.randint(1, 4))]
-            ens = ps.ensemble(components)
+            ens = ps.PhotonEnsemble(tuple(components))
             if ens.total == 0:
                 continue
             cfg = ps.TomographyConfig(rng.choice((1, 10, 1_000, 10**6)), rng.getrandbits(32))
@@ -119,6 +120,22 @@ def test_negative_count_is_named(index):
     name = ("n_h", "n_v", "n_d", "n_a", "n_r", "n_l")[index]
     with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
         ps.MeasurementCounts(*counts)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, math.nan, "1", None],
+                         ids=["bool", "float", "nan", "str", "none"])
+def test_counts_must_be_integers(bad):
+    # a bool, float or NaN count once built and reconstructed, and a string or
+    # None raised TypeError from the sign test, which the type test precedes
+    message = f"measurement counts must be integers, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ps.MeasurementCounts(10, -1, bad, 10, 10, 10)
+
+
+def test_numpy_counts_are_stored_as_python_ints():
+    counts = ps.MeasurementCounts(np.int64(75), 25, np.uint32(93), 7, np.int8(50), 50)
+    assert counts == ps.MeasurementCounts(75, 25, 93, 7, 50, 50)
+    assert {type(n) for n in vars(counts).values()} == {int}
 
 
 def test_numpy_and_large_seeds_are_accepted():
