@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -71,15 +72,17 @@ class SweepSpec:
         # a sweep's siphon bound: an even total t <= n splits into halves t/2
         # within ProtocolConfig's (t/2 <= n, t/2 <= n - t/2); a bad total is
         # reported before the order of the totals
-        totals = tuple(check_count(t, "siphon totals must be integers") for t in self.siphon_totals)
-        for t in totals:
+        totals = []
+        for t in self.siphon_totals:
+            t = t if type(t) is int else check_count(t, "siphon totals must be integers")
             if t < 0 or t % 2 != 0:
                 raise ValueError(f"siphon totals must be non-negative even integers, got {t}")
             if t > self.n_photons:
                 raise ValueError(f"siphon total {t} exceeds n_photons {self.n_photons}")
-        if any(a >= b for a, b in zip(totals, totals[1:])):
+            totals.append(t)
+        if any(map(operator.ge, totals, totals[1:])):
             raise ValueError("siphon totals must be strictly increasing")
-        object.__setattr__(self, "siphon_totals", totals)
+        object.__setattr__(self, "siphon_totals", tuple(totals))
 
 
 class SweepRecord(NamedTuple):
@@ -167,9 +170,9 @@ def closed_form_lambda_max(fraction: float, delta_deg: float) -> float:
 
 
 def sweep_delta_family(
-    deltas: Sequence[float] = DEFAULT_DELTAS,
+    deltas: Iterable[float] = DEFAULT_DELTAS,
     base_theta: float = 30.0,
-    fraction_grid: Sequence[float] = DEFAULT_FRACTIONS,
+    fraction_grid: Iterable[float] = DEFAULT_FRACTIONS,
 ) -> Dict[Tuple[float, float], SweepRecord]:
     """Peak intensity and angle over (angle gap, Eve fraction) combinations.
 
@@ -178,8 +181,10 @@ def sweep_delta_family(
     from Alice's decision rule against her hypotheses for base_theta. Each
     record's siphon_total is the fraction of a sweep's default photon budget.
     """
-    if not deltas:
-        raise ValueError("deltas must be nonempty")
+    deltas, fraction_grid = tuple(deltas), tuple(fraction_grid)  # each read once
+    for name, values in (("deltas", deltas), ("fractions", fraction_grid)):
+        if not values:
+            raise ValueError(f"{name} must be nonempty")
     # as in the configs, so a bool is not 1 or 0 degrees, or a fraction, in the table key
     theta = normalize_angle(base_theta)
     for delta in deltas:
@@ -197,32 +202,26 @@ def sweep_delta_family(
     a1, a3 = linear_stokes(theta)
     b1, b3 = linear_stokes(np.array([[normalize_angle(base_theta + d)] for d in deltas]))
     f = np.array(fraction_grid, dtype=float)
-    grid = itertools.product(deltas, fraction_grid)
     totals = [round(fraction * SweepSpec.n_photons) for fraction in fraction_grid] * len(deltas)
     records = _exact_records(totals, (1.0 - f) * a1 + f * b1, (1.0 - f) * a3 + f * b3, theta)
-    return dict(zip(grid, records))
+    return dict(zip(itertools.product(deltas, fraction_grid), records))
 
 
 _CSV_BLOCK_ROWS = 4096
-_BOOL_CELLS = ("false", "true")
+# a row's template by (angle is None, detected); %.0s swallows a None angle and the detected cell
+_SWEEP_ROWS = (
+    ("%s,%.6f,%.6f,%.6f,%.0sfalse\n", "%s,%.6f,%.6f,%.6f,%.0strue\n"),
+    ("%s,%.6f,%.0s,%.6f,%.0sfalse\n", "%s,%.6f,%.0s,%.6f,%.0strue\n"),
+)
+_DELTA_FAMILY_ROWS = ("%s,%s,%.6f,%.6f\n", "%s,%s,%.6f,%.0s\n")
 
 
-def _angle_cells(angles: Iterable[Optional[float]]) -> List[str]:
-    return ["" if angle is None else "%.6f" % angle for angle in angles]
-
-
-def _write_rows(path, header: str, template: str, rows: Iterable, columns) -> None:
-    """Write `header` and one `template` line per row of `rows` to `path`.
-
-    `columns` turns a block of rows into the template's cell columns. Each
-    block is formatted by one `%` and unsign_zeros, all before the file is
-    opened, so a row that cannot be formatted leaves no file.
-    """
+def _write_rows(path, header: str, rows: Iterable, block_text) -> None:
+    """Write `header` and `block_text` of each block of `rows`, through unsign_zeros, to `path`;
+    every block is formatted before the file opens, so a bad row leaves no file."""
     rows = iter(rows)
-    text = [header + "\n"]
-    for block in iter(lambda: list(itertools.islice(rows, _CSV_BLOCK_ROWS)), []):
-        cells = tuple(itertools.chain.from_iterable(zip(*columns(block))))
-        text.append(unsign_zeros(template * len(block) % cells))
+    blocks = iter(lambda: list(itertools.islice(rows, _CSV_BLOCK_ROWS)), [])
+    text = [header + "\n", *map(unsign_zeros, map(block_text, blocks))]
     try:
         with open(path, "w", newline="") as fh:
             fh.writelines(text)
@@ -230,27 +229,28 @@ def _write_rows(path, header: str, template: str, rows: Iterable, columns) -> No
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
 
 
-def _sweep_columns(block: List[SweepRecord]):
-    totals, lambdas, angles, purities, detected = zip(*block)
-    return (totals, lambdas, _angle_cells(angles), purities,
-            map(_BOOL_CELLS.__getitem__, map(bool, detected)))
+def _sweep_block_text(block: List[SweepRecord]) -> str:
+    template = "".join([_SWEEP_ROWS[row[2] is None][bool(row[4])] for row in block])
+    return template % tuple(itertools.chain.from_iterable(block))
 
 
 def write_csv(records: Iterable[SweepRecord], path) -> None:
     """Write a siphon-sweep CSV; byte-identical across runs for exact mode."""
-    _write_rows(path, SWEEP_CSV_HEADER, "%s,%.6f,%s,%.6f,%s\n", records, _sweep_columns)
-
-
-def _delta_family_columns(block: List[Tuple[Tuple[float, float], SweepRecord]]):
-    keys, records = zip(*block)
-    deltas, fractions = zip(*keys)
-    _, lambdas, angles, _, _ = zip(*records)
-    return deltas, fractions, lambdas, _angle_cells(angles)
+    _write_rows(path, SWEEP_CSV_HEADER, records, _sweep_block_text)
 
 
 def write_delta_family_csv(table: Dict[Tuple[float, float], SweepRecord], path) -> None:
-    _write_rows(path, DELTA_FAMILY_CSV_HEADER, "%.6f,%.6f,%.6f,%s\n",
-                sorted(table.items()), _delta_family_columns)
+    # each distinct gap and fraction formatted once; -0.0 and 0.0 share a cell, unsigned either way
+    cells = {value: "%.6f" % value for value in set(itertools.chain.from_iterable(table))}
+
+    def block_text(block: List[Tuple[float, float]]) -> str:
+        records = list(map(table.__getitem__, block))
+        template = "".join([_DELTA_FAMILY_ROWS[record[2] is None] for record in records])
+        return template % tuple(itertools.chain.from_iterable(
+            (cells[delta], cells[fraction], record[1], record[2])
+            for (delta, fraction), record in zip(block, records)))
+
+    _write_rows(path, DELTA_FAMILY_CSV_HEADER, sorted(table), block_text)
 
 
 # Figure presets: each pair of consecutive figures in the source data shares

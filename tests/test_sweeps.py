@@ -217,6 +217,28 @@ class TestSweepDeltaFamily:
         with pytest.raises(ValueError):
             ps.sweep_delta_family(deltas=[])
 
+    def test_empty_fractions_rejected(self):
+        # as empty gaps are, rather than return an empty table
+        with pytest.raises(ValueError, match="^fractions must be nonempty$"):
+            ps.sweep_delta_family(fraction_grid=[])
+        with pytest.raises(ValueError, match="^fractions must be nonempty$"):
+            ps.sweep_delta_family(fraction_grid=iter(()))
+
+    @pytest.mark.parametrize("wrap_deltas, wrap_fractions", [
+        (np.array, list), (iter, list), (list, iter), (np.array, np.array),
+    ], ids=["array-gaps", "iterator-gaps", "iterator-fractions", "arrays"])
+    def test_grid_values_may_be_any_iterable(self, tmp_path, wrap_deltas, wrap_fractions):
+        # each is read once: an array is not asked for its truth value and
+        # an iterator is not used up by the checks
+        deltas, fractions = [7.5, 15.0, 60.0, 200.0], [0.0, 0.1, 0.35, 0.5]
+        want = ps.sweep_delta_family(deltas, 30.0, fractions)
+        got = ps.sweep_delta_family(wrap_deltas(deltas), 30.0, wrap_fractions(fractions))
+        assert got == want
+        assert len(got) == len(deltas) * len(fractions)
+        write_delta_family_csv(want, tmp_path / "lists.csv")
+        write_delta_family_csv(got, tmp_path / "wrapped.csv")
+        assert (tmp_path / "wrapped.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+
     @pytest.mark.parametrize("angles", [
         {"base_theta": True}, {"deltas": [True]}, {"deltas": [15.0, False]},
         {"base_theta": "30"}, {"deltas": ["15"]}, {"base_theta": None}, {"deltas": [None]},
@@ -467,6 +489,27 @@ class TestCsvWriterMatchesPerRowRendering:
         with pytest.raises(TypeError):
             write_delta_family_csv(table, path)
         assert list(tmp_path.iterdir()) == []
+
+
+def test_delta_family_key_values_that_share_a_cell(tmp_path):
+    # the writer formats each distinct gap and fraction value once, so
+    # values equal as keys share one cell: -0.0 and 0.0, 0.5 as a float
+    # and as np.float64, the int 15 and 15.0; and a NaN gap keeps its own
+    keys = [(-0.0, 0.1), (0.0, 0.2), (7.5, -0.0), (30.0, 0.0),
+            (0.5, np.float64(0.5)), (np.float64(0.5), 0.25), (15, 0.5), (15.0, 0.3),
+            (-7.5, 0.35), (math.nan, 0.1)]
+    table = dict(zip(keys, random_records(len(keys), 3)))
+    assert len(table) == len(keys)
+    path = tmp_path / "family.csv"
+    write_delta_family_csv(table, path)
+    assert path.read_bytes() == reference_delta_family_csv(table).encode()
+    cells = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+    assert sorted(map(tuple, cells)) == sorted([
+        ("0.000000", "0.100000"), ("0.000000", "0.200000"), ("7.500000", "0.000000"),
+        ("30.000000", "0.000000"), ("0.500000", "0.500000"), ("0.500000", "0.250000"),
+        ("15.000000", "0.500000"), ("15.000000", "0.300000"), ("-7.500000", "0.350000"),
+        ("nan", "0.100000"),
+    ])
 
 
 def _assert_row_types(row):
