@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from . import __version__
 from .polarization import (
     PhotonEnsemble,
+    density_from_stokes,
     format_decimal,
     render_matrix,
     report_line,
-    stokes_from_density,
     stokes_purity,
     stokes_spectrum,
 )
@@ -321,15 +321,14 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     config = TomographyConfig(photons_per_basis=args.photons_per_basis, seed=args.seed)
     counts = measure(ens.components, ens.total, config)
     stokes = stokes_estimate(counts)
-    rho_hat = reconstruct_from_stokes(stokes)
     # the read-out of every protocol report, off the reconstructed Stokes vector
-    s_hat = stokes_from_density(rho_hat)
+    s_hat = reconstruct_from_stokes(stokes)
     spectrum = stokes_spectrum(s_hat)
 
     print(f"counts n_h={counts.n_h} n_v={counts.n_v} n_d={counts.n_d} "
           f"n_a={counts.n_a} n_r={counts.n_r} n_l={counts.n_l}")
     print(f"stokes_estimate=({', '.join(map(format_decimal, stokes))})")
-    print(f"reconstructed={render_matrix(rho_hat)}")
+    print(f"reconstructed={render_matrix(density_from_stokes(s_hat))}")
     print(report_line("purity", stokes_purity(s_hat)))
     print(report_line("lambda_max", spectrum.lambda_max))
     print(report_line("lambda_min", spectrum.lambda_min))

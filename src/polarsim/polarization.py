@@ -98,14 +98,13 @@ class DensityMatrix:
 
 
 class Spectrum(NamedTuple):
-    """Eigen-decomposition of a density matrix, read as intensities plus
-    polarization axes. Angles are None when the spectrum is degenerate
-    (eigenvectors are arbitrary there)."""
+    """Eigen-decomposition of a density matrix, read as intensities plus the
+    principal polarization axis; the other axis is 90 deg from it. The angle
+    is None when the spectrum is degenerate (eigenvectors are arbitrary there)."""
 
     lambda_max: float
     lambda_min: float
     principal_angle_deg: Optional[float]
-    minor_angle_deg: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -228,15 +227,15 @@ def _eigvals_2x2(m00: float, m01: complex, m11: float) -> Tuple[float, float]:
 def eigendecompose(rho: DensityMatrix) -> Spectrum:
     """Closed-form spectral decomposition.
 
-    Eigenvalues are the component intensities; each eigenvector's angle is the
-    corresponding polarization axis, sign-normalized so the first nonzero
+    Eigenvalues are the component intensities; the principal eigenvector's
+    angle is its polarization axis, sign-normalized so the first nonzero
     component is positive and reduced to [0, 180).
     """
     m00, c, _, m11 = rho.matrix.ravel().tolist()
     a, d = m00.real, m11.real
     lmax, lmin = _eigvals_2x2(a, c, d)
     if lmax - lmin < DEGENERACY_TOL:
-        return Spectrum(lmax, lmin, None, None)
+        return Spectrum(lmax, lmin, None)
 
     if abs(c) < 1e-300:
         principal = 0.0 if a >= d else 90.0
@@ -247,8 +246,7 @@ def eigendecompose(rho: DensityMatrix) -> Spectrum:
         # rounded as numpy's complex division rounds it: times 1 / |c|
         v1 = (lmax - a) * (c.real * (1.0 / abs(c)))
         principal = normalize_angle(math.degrees(math.atan2(v1, abs(c))))
-    minor = normalize_angle(principal + 90.0)
-    return Spectrum(lmax, lmin, principal, minor)
+    return Spectrum(lmax, lmin, principal)
 
 
 def stokes_purity(s: StokesVector) -> float:
@@ -266,13 +264,13 @@ def stokes_spectrum(s: StokesVector) -> Spectrum:
     norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
     lmax, lmin = 0.5 * (1.0 + norm), 0.5 * (1.0 - norm)
     if norm < DEGENERACY_TOL:
-        return Spectrum(lmax, lmin, None, None)
+        return Spectrum(lmax, lmin, None)
     transverse = s.s1 * s.s1 + s.s2 * s.s2
     if transverse == 0.0:
         principal = 0.0 if s.s3 >= 0.0 else 90.0
     else:
         principal = normalize_angle(math.degrees(math.atan2((norm - s.s3) * s.s1, transverse)))
-    return Spectrum(lmax, lmin, principal, normalize_angle(principal + 90.0))
+    return Spectrum(lmax, lmin, principal)
 
 
 def matrix_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -3,11 +3,11 @@
 Measures photon populations (measure) or a density matrix in the H/V, D/A
 and R/L bases via seeded binomial sampling, estimates Stokes parameters from
 the counts (James, Kwiat, Munro & White, PRA 64, 052312, 2001), and
-reconstructs a guaranteed-physical density matrix. For a qubit, clipping the
+reconstructs a guaranteed-physical Stokes vector. For a qubit, clipping the
 negative eigenvalue of the linear inversion and renormalizing the trace is
 the projection r -> r/|r| of the Stokes vector onto the Poincare sphere
 (Smolin, Gambetta & Smith, PRL 108, 070502, 2012), so reconstruction is
-closed form.
+closed form and builds no matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .polarization import (
     mixture_entries,
     outside_poincare_sphere,
     stokes_from_density,
-    stokes_matrix,
 )
 
 # identifier recorded in run metadata so outputs are reproducible across hosts
@@ -149,8 +148,8 @@ def stokes_estimate(counts: MeasurementCounts) -> StokesVector:
     return StokesVector(1.0, s1, s2, s3)
 
 
-def reconstruct_from_stokes(s: StokesVector) -> DensityMatrix:
-    """Physical density matrix from a (possibly non-physical) Stokes estimate.
+def reconstruct_from_stokes(s: StokesVector) -> StokesVector:
+    """Physical Stokes vector from a (possibly non-physical) Stokes estimate.
 
     The linear inversion has eigenvalues (1 +- |r|)/2. It is kept unless
     outside_poincare_sphere, DensityMatrix's rule, refuses it; then clipping
@@ -159,9 +158,9 @@ def reconstruct_from_stokes(s: StokesVector) -> DensityMatrix:
     if outside_poincare_sphere(s):
         norm = math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3)
         s = StokesVector(1.0, s.s1 / norm, s.s2 / norm, s.s3 / norm)
-    return DensityMatrix(stokes_matrix(s))
+    return s
 
 
-def reconstruct(counts: MeasurementCounts) -> DensityMatrix:
+def reconstruct(counts: MeasurementCounts) -> StokesVector:
     """Tomographic reconstruction: Stokes estimation plus physicality projection."""
     return reconstruct_from_stokes(stokes_estimate(counts))

@@ -467,6 +467,21 @@ class TestTomographyCommand:
         assert kv(out)["stokes_estimate"] == "(1.000000, 1.000000, 0.000000, 0.000280)"
         assert "-0.000000" not in out
 
+    def test_builds_one_matrix_to_print(self, capsys, monkeypatch):
+        # the read-out comes off the reconstructed Stokes vector; the only
+        # matrix is the one printed as `reconstructed`
+        built = []
+        original = ps.DensityMatrix.__post_init__
+
+        def spy(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(ps.DensityMatrix, "__post_init__", spy)
+        code, out, _ = run_cli(capsys, "tomography", "--mix", "80@30,20@45", "--seed", "7")
+        assert code == 0 and len(built) == 1
+        assert kv(out)["reconstructed"] == ps.polarization.render_matrix(built[0])
+
     def test_bad_mixture_syntax_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["tomography", "--mix", "80@30,oops"])

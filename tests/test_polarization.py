@@ -244,7 +244,6 @@ class TestEigendecompose:
     def test_worked_mixture_angles(self):
         spec = ps.eigendecompose(DensityMatrix(MIX_MATRIX))
         assert spec.principal_angle_deg == pytest.approx(MIX_ANGLE, abs=1e-9)
-        assert spec.minor_angle_deg == pytest.approx(MIX_ANGLE + 90, abs=1e-9)
 
     @pytest.mark.parametrize("diagonal, angle", [((0.7, 0.3), 0.0), ((0.3, 0.7), 90.0)])
     def test_diagonal_state_axis(self, diagonal, angle):
@@ -273,7 +272,6 @@ class TestEigendecompose:
         spec = ps.eigendecompose(DensityMatrix(np.eye(2) / 2))
         assert spec.lambda_max == pytest.approx(0.5)
         assert spec.principal_angle_deg is None
-        assert spec.minor_angle_deg is None
 
     def test_pure_state_recovers_its_angle(self):
         for angle in np.linspace(0.5, 179.5, 90):

@@ -109,6 +109,13 @@ class TestIntensityCheck:
     def test_second_stage_loss(self):
         assert ps.intensity_check((100, 100, 90)) is False
 
+    @pytest.mark.parametrize("record, holds", [
+        ((), True), (iter(()), True), (iter((7, 7, 7)), True), (iter((7, 7, 6)), False),
+    ], ids=["empty", "empty-iterator", "equal-iterator", "unequal-iterator"])
+    def test_any_record(self, record, holds):
+        # a record with no count shows no change of count; an iterator is read once
+        assert ps.intensity_check(record) is holds
+
 
 class TestEveConfig:
     @pytest.mark.parametrize("siphons", [(10, 10), (10, 0), (0, 10)])
@@ -505,10 +512,24 @@ def test_hypotheses_are_alices_state_and_its_rotation(mode, theta):
     assert np.array_equal(out.rho_hypothesis_90.matrix, rho(theta + 90.0).matrix)
 
 
+# (bit, eve, photons_per_basis) of each run, and the received matrices of
+# their sampled runs, recorded while a sampled run still built its
+# reconstruction as a DensityMatrix; the last one is projected
+RUNS = [(0, None, 100_000), (1, ps.EveConfig(10, 10, 45.0, enabled=True), 100_000),
+        (1, ps.EveConfig(10, 10, 45.0, enabled=True), 3)]
+SAMPLED_RECEIVED = [
+    [[(0.74829+0j), (0.43296-0.00026j)], [(0.43296+0.00026j), (0.25171+0j)]],
+    [[(0.30181+0j), (-0.34632-0.00026j)], [(-0.34632+0.00026j), (0.69819+0j)]],
+    [[(0.3852921330647191+0j), (-0.34412360080584264+0.34412360080584264j)],
+     [(-0.34412360080584264-0.34412360080584264j), (0.6147078669352809+0j)]],
+]
+
+
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 def test_one_density_matrix_per_run(monkeypatch, mode):
-    # the received matrix is the only one a run builds: both modes read out
-    # and decide on its Stokes vector, with no hypothesis matrices
+    # both modes read out and decide on the received Stokes vector, with no
+    # hypothesis matrices: an exact run builds only its ensemble's matrix, a
+    # sampled run none, and reading rho_received builds the received one
     built = []
     original = DensityMatrix.__post_init__
 
@@ -517,10 +538,17 @@ def test_one_density_matrix_per_run(monkeypatch, mode):
         original(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", spy)
-    for bit, eve in [(0, None), (1, ps.EveConfig(10, 10, 45.0, enabled=True))]:
+    per_run = 1 if mode == "exact" else 0
+    for (bit, eve, ppb), recorded in zip(RUNS, SAMPLED_RECEIVED):
         built.clear()
-        outcome = ps.run_protocol(config(bit=bit, eve=eve, mode=mode))
-        assert len(built) == 1 and built[0] is outcome.rho_received
+        outcome = ps.run_protocol(config(bit=bit, eve=eve, mode=mode, ppb=ppb))
+        assert len(built) == per_run
+        rho_received = outcome.rho_received
+        assert len(built) == per_run + 1 and built[-1] is rho_received
+        if mode == "exact":
+            assert np.abs(rho_received.matrix - built[0].matrix).max() <= 1e-12
+        else:
+            assert rho_received.matrix.tolist() == recorded
 
 
 def golden_configs(mode):
@@ -605,16 +633,17 @@ REPORT_VALUES = st.one_of(
 def test_renderings_match_the_line_renderer(decision, values, angle, intensities):
     purity, dist_h0, dist_h90, lambda_max, lambda_min = values
     outcome = protocol.ProtocolOutcome(
-        decision, 30.0, MIX, purity, dist_h0, dist_h90,
-        ps.Spectrum(lambda_max, lambda_min, angle, None), intensities,
+        decision, 30.0, ps.stokes_from_density(MIX), purity, dist_h0, dist_h90,
+        ps.Spectrum(lambda_max, lambda_min, angle), intensities,
     )
     assert outcome.to_key_value_block() == "\n".join(reference_report_lines(outcome))
     assert outcome.to_csv_row() == reference_csv_row(outcome)
 
 
 class TestOutcomeRecord:
-    # the field names, in order, of ProtocolOutcome when it was a frozen dataclass
-    FIELDS = ("decision", "alice_angle_deg", "rho_received", "purity_received", "dist_to_h0",
+    # the field names, in order, of ProtocolOutcome when it was a frozen
+    # dataclass, with the received Stokes vector where its matrix was
+    FIELDS = ("decision", "alice_angle_deg", "stokes_received", "purity_received", "dist_to_h0",
               "dist_to_h90", "spectrum", "stage_intensities")
 
     def test_fields_in_order(self):
@@ -630,7 +659,7 @@ class TestOutcomeRecord:
             assert built.to_key_value_block() == out.to_key_value_block()
             assert built.to_csv_row() == out.to_csv_row()
 
-    @pytest.mark.parametrize("name", FIELDS + ("rho_hypothesis_0", "extra"))
+    @pytest.mark.parametrize("name", FIELDS + ("rho_received", "rho_hypothesis_0", "extra"))
     def test_attributes_cannot_be_assigned(self, name):
         out = ps.run_protocol(config())
         with pytest.raises(AttributeError):

@@ -15,7 +15,10 @@ blocks and 200 `polarsim tomography --mix` outputs, recorded from the stream
 path, where a value that rounded to zero could print as -0.000000; that was
 recorded as 0.000000. The protocol digest was recorded again when sampled
 Eve's stage-2 siphon began to take only Alice's photons, as exact mode's
-does; that changed every block with both siphons non-zero.
+does; that changed every block with both siphons non-zero. A third digest
+covers 400 `polarsim tomography` outputs of a pure state or a mixture, on
+and off the half-degree grid, at 1 to 10^5 photons per basis, recorded while
+the read-out still went through the reconstructed density matrix.
 """
 
 import contextlib
@@ -42,6 +45,7 @@ MIN_COHERENCE = 1e-6
 
 PROTOCOL_SHA256 = "be46ca09f9797aa1c685e596f329ca6c5dc6837c777ce510225dfc717ca7b5c1"
 TOMOGRAPHY_SHA256 = "3685d706da7ceb321f619f2c305519f405ca072d1b20873b0394b6b0f95426de"
+ANY_STATE_TOMOGRAPHY_SHA256 = "d4624f7355b744fb74480521b26ea56c43717785354322424d6877398a14479a"
 
 
 def reference_reconstruct(counts):
@@ -179,7 +183,7 @@ def test_sampled_run_matches_the_stream_path(config):
 def test_reconstruction_matches_the_eigh_path(counts, pure):
     # an estimate with |r| > 1 comes back as the pure state r/|r|, as
     # clipping the eigh spectrum gives; any other is kept as it is
-    rho = ps.reconstruct(counts)
+    rho = ps.density_from_stokes(ps.reconstruct(counts))
     assert np.abs(rho.matrix - reference_reconstruct(counts)).max() <= TOL
     assert (ps.purity(rho) == pytest.approx(1.0, abs=TOL)) is pure
 
@@ -221,9 +225,34 @@ def tomography_argvs():
     return argvs
 
 
+def any_state_tomography_argvs():
+    """400 seeded `polarsim tomography` runs: a pure state at an angle on
+    the half-degree grid or anywhere in [0, 180), or a mixture of 1 to 3
+    components, at 1 to 10^5 photons per basis, so that most raw estimates
+    lie outside the sphere and are projected onto it."""
+    rng = random.Random("tomography-golden")
+    argvs = []
+
+    def angle():
+        return 0.5 * rng.randrange(360) if on_grid else rng.uniform(0.0, 180.0)
+
+    for _ in range(400):
+        on_grid = rng.random() < 0.5
+        if rng.random() < 0.5:
+            state = ["--theta", repr(angle())]
+        else:
+            mix = ",".join(f"{rng.randint(1, 100)}@{angle()!r}" for _ in range(rng.randint(1, 3)))
+            state = ["--mix", mix]
+        photons = rng.choice((1, 3, 10, 1000, 100_000))
+        argvs.append(["tomography", *state, "--photons-per-basis", str(photons),
+                      "--seed", str(rng.randrange(10_000))])
+    return argvs
+
+
 @pytest.mark.parametrize("argvs, digest", [
     (protocol_argvs, PROTOCOL_SHA256),
     (tomography_argvs, TOMOGRAPHY_SHA256),
+    (any_state_tomography_argvs, ANY_STATE_TOMOGRAPHY_SHA256),
 ])
 def test_cli_output_golden(argvs, digest):
     out = io.StringIO()

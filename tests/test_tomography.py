@@ -173,21 +173,30 @@ class TestStokesEstimate:
 
 
 class TestReconstruct:
+    def test_returns_the_physical_stokes_vector(self):
+        # a kept estimate comes back as it is, a projected one as r/|r|
+        kept = ps.MeasurementCounts(9, 1, 5, 5, 5, 5)
+        assert ps.reconstruct(kept) == ps.stokes_estimate(kept)
+        s = ps.reconstruct(ps.MeasurementCounts(100, 0, 100, 0, 50, 50))
+        assert type(s) is ps.StokesVector and s.s0 == 1.0
+        assert math.hypot(s.s1, s.s2, s.s3) == pytest.approx(1.0, abs=1e-15)
+
     def test_near_exact_counts(self):
         # counts from rounded Born probabilities of rho(30)
         counts = ps.MeasurementCounts(750, 250, 933, 67, 500, 500)
-        rho_hat = ps.reconstruct(counts)
+        rho_hat = ps.density_from_stokes(ps.reconstruct(counts))
         assert ps.matrix_distance(rho_hat, rho(30)) < 2e-3
 
     def test_nonphysical_counts_are_projected(self):
         counts = ps.MeasurementCounts(100, 0, 100, 0, 50, 50)
-        rho_hat = ps.reconstruct(counts)
+        rho_hat = ps.density_from_stokes(ps.reconstruct(counts))
         eigvals = np.linalg.eigvalsh(rho_hat.matrix)
         assert eigvals.min() >= -1e-12
         assert np.trace(rho_hat.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_all_equal_counts(self):
-        rho_hat = ps.reconstruct(ps.MeasurementCounts(10, 10, 10, 10, 10, 10))
+        s = ps.reconstruct(ps.MeasurementCounts(10, 10, 10, 10, 10, 10))
+        rho_hat = ps.density_from_stokes(s)
         assert np.allclose(rho_hat.matrix, np.eye(2) / 2, atol=1e-12)
 
     def test_exact_stokes_round_trip(self):
@@ -196,17 +205,18 @@ class TestReconstruct:
         for _ in range(200):
             angle = rng.uniform(0, 180)
             m = rho(angle)
-            back = reconstruct_from_stokes(ps.stokes_from_density(m))
+            back = ps.density_from_stokes(reconstruct_from_stokes(ps.stokes_from_density(m)))
             assert np.allclose(m.matrix, back.matrix, atol=1e-12)
 
     def test_kept_raw_estimate_converts_back(self):
         # |r| - 1 = 1.0e-10 keeps the raw estimate, and density_from_stokes
-        # accepts the Stokes vector of what reconstruct returned
-        rho_hat = ps.reconstruct(ps.MeasurementCounts(530877, 469123, 999045, 955, 500836, 499164))
-        s = ps.stokes_from_density(rho_hat)
+        # accepts the Stokes vector reconstruct returned
+        counts = ps.MeasurementCounts(530877, 469123, 999045, 955, 500836, 499164)
+        s = ps.reconstruct(counts)
+        assert s == ps.stokes_estimate(counts)
         assert math.sqrt(s.s1 * s.s1 + s.s2 * s.s2 + s.s3 * s.s3) > 1.0
         back = ps.density_from_stokes(s)
-        assert np.allclose(back.matrix, rho_hat.matrix, rtol=0, atol=1e-15)
+        assert np.allclose(back.matrix, stokes_matrix(s), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
     def test_pure_axis_counts_never_raise(self, n):
@@ -216,7 +226,8 @@ class TestReconstruct:
         for axis, pole, k1, k2 in itertools.product(range(3), (n, 0), range(-3, 4), range(-3, 4)):
             pairs = [(n // 2 + k1, n - n // 2 - k1), (n // 2 + k2, n - n // 2 - k2)]
             pairs.insert(axis, (pole, n - pole))
-            rho_hat = ps.reconstruct(ps.MeasurementCounts(*itertools.chain(*pairs)))
+            s = ps.reconstruct(ps.MeasurementCounts(*itertools.chain(*pairs)))
+            rho_hat = ps.density_from_stokes(s)
             assert np.linalg.eigvalsh(rho_hat.matrix).min() >= -ps.polarization.PSD_TOL
 
     def test_keep_or_project_rule_is_density_matrix_rule(self):
@@ -248,7 +259,7 @@ class TestReconstruct:
             ps.MeasurementCounts(1, 0, 0, 1, 1, 1),
         ]
         for counts in adversarial:
-            rho_hat = ps.reconstruct(counts)
+            rho_hat = ps.density_from_stokes(ps.reconstruct(counts))
             assert np.trace(rho_hat.matrix).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho_hat.matrix).min() >= -1e-10
 
@@ -262,7 +273,7 @@ class TestStatisticalConsistency:
         within = 0
         for seed in range(200):
             cfg = ps.TomographyConfig(photons_per_basis=n, seed=seed)
-            rho_hat = ps.reconstruct(ps.simulate_counts(MIX, cfg))
+            rho_hat = ps.density_from_stokes(ps.reconstruct(ps.simulate_counts(MIX, cfg)))
             if ps.matrix_distance(rho_hat, MIX) <= bound:
                 within += 1
         assert within >= 198  # >= 99% of trials
