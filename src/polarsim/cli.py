@@ -61,8 +61,6 @@ def _write_manifest(path: Path, args: argparse.Namespace, unread: Set[str],
             continue
         if dest in unread:
             value = ""
-        elif isinstance(value, tuple):  # --totals
-            value = ",".join(map(str, value))
         elif isinstance(value, PhotonEnsemble):  # --mix, canonical
             value = ",".join(f"{count}@{angle}" for count, angle in value.components)
         params[dest + "_deg" if dest in ("theta", "phi", "eve_angle") else dest] = value
@@ -193,8 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     state = t.add_mutually_exclusive_group()
     state.add_argument("--theta", type=_parse_angle, help="single pure-state angle (deg)")
     state.add_argument("--mix", type=_parse_mix, help="mixture as COUNT@ANGLE,COUNT@ANGLE,...")
-    t.add_argument("--photons-per-basis", type=int, default=DEFAULTS["photons_per_basis"])
-    t.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    t.add_argument(
+        "--photons-per-basis", type=int, default=DEFAULTS["photons_per_basis"],
+        help=f"tomography sample size per basis (default {DEFAULTS['photons_per_basis']})",
+    )
+    t.add_argument("--seed", type=int, default=DEFAULTS["seed"],
+                   help=f"RNG seed (default {DEFAULTS['seed']})")
     t.add_argument("--out", type=Path, default=None, help="write counts CSV and manifest here")
     return parser
 
@@ -239,13 +241,14 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_sweep_meta(path: Path, spec: SweepSpec) -> None:
+def _write_sweep_meta(path: Path, spec: SweepSpec, totals: str) -> None:
+    """Write the sweep's spec; `totals` is its siphon totals as comma-separated text."""
     lines = [
         f"theta_deg={spec.theta_deg}",
         f"phi_deg={spec.phi_deg}",
         f"bob_bit={spec.bob_bit}",
         f"n_photons={spec.n_photons}",
-        "siphon_totals=" + ",".join(map(str, spec.siphon_totals)),
+        f"siphon_totals={totals}",
         "siphon_split=even-across-two-stages",
         f"mode={spec.mode}",
         f"seed={spec.seed}",
@@ -298,7 +301,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         csv_path = out_dir / f"{name}.csv"
         meta_path = out_dir / f"{name}.meta.txt"
         write_csv(records, csv_path)
-        _write_sweep_meta(meta_path, spec)
+        # the totals joined once, for the meta file and, as --totals, the manifest
+        totals_text = ",".join(map(str, spec.siphon_totals))
+        _write_sweep_meta(meta_path, spec, totals_text)
+        if args.preset is None:
+            args.totals = totals_text
         outputs = [csv_path, meta_path]
         points = "" if args.preset is None else f" {len(records)} points"
         print(f"sweep {name}: theta={spec.theta_deg} phi={spec.phi_deg}{points} -> {csv_path}")

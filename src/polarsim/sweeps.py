@@ -12,7 +12,8 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from collections.abc import Sequence
+from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -70,19 +71,32 @@ class SweepSpec:
                 f"at most {INT64_MAX}, got {self.n_photons}"
             )
         # a sweep's siphon bound: an even total t <= n splits into halves t/2
-        # within ProtocolConfig's (t/2 <= n, t/2 <= n - t/2); a bad total is
-        # reported before the order of the totals
-        totals = []
-        for t in self.siphon_totals:
-            t = t if type(t) is int else check_count(t, "siphon totals must be integers")
-            if t < 0 or t % 2 != 0:
-                raise ValueError(f"siphon totals must be non-negative even integers, got {t}")
-            if t > self.n_photons:
-                raise ValueError(f"siphon total {t} exceeds n_photons {self.n_photons}")
-            totals.append(t)
-        if any(map(operator.ge, totals, totals[1:])):
+        # within ProtocolConfig's (t/2 <= n, t/2 <= n - t/2). Plain ints, the
+        # CLI's case, are checked on one int64 array; other totals, or ones
+        # the array refuses, a total at a time, so that the message names the
+        # first bad total in order; a bad total is reported before the order
+        totals = tuple(self.siphon_totals)
+        try:
+            plain = operator.countOf(map(type, totals), int) == len(totals)
+            array = np.fromiter(totals, np.int64, len(totals)) if plain else None
+        except OverflowError:  # beyond int64, so negative or above n_photons
+            array = None
+        # (the low bit of the totals' bitwise OR is set iff a total is odd)
+        if (array is None or array.min(initial=0) < 0 or array.max(initial=0) > self.n_photons
+                or np.bitwise_or.reduce(array) & 1):
+            checked = []
+            for t in totals:
+                t = t if type(t) is int else check_count(t, "siphon totals must be integers")
+                if t < 0 or t % 2 != 0:
+                    raise ValueError(f"siphon totals must be non-negative even integers, got {t}")
+                if t > self.n_photons:
+                    raise ValueError(f"siphon total {t} exceeds n_photons {self.n_photons}")
+                checked.append(t)
+            totals = tuple(checked)
+            array = np.array(totals, dtype=np.int64)
+        if np.diff(array).min(initial=1) <= 0:
             raise ValueError("siphon totals must be strictly increasing")
-        object.__setattr__(self, "siphon_totals", tuple(totals))
+        object.__setattr__(self, "siphon_totals", totals)
 
 
 class SweepRecord(NamedTuple):
@@ -91,6 +105,39 @@ class SweepRecord(NamedTuple):
     peak_angle_deg: Optional[float]
     purity: float
     detected: bool
+
+
+class SweepTable(Sequence):
+    """Read-only SweepRecord rows kept as five columns, one per field.
+
+    A row is built only when it is read; a slice is a table of the sliced
+    columns. write_csv formats the columns without building rows.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, siphon_total: Sequence, lambda_max: Sequence,
+                 peak_angle_deg: Sequence, purity: Sequence, detected: Sequence) -> None:
+        self.columns = (siphon_total, lambda_max, peak_angle_deg, purity, detected)
+
+    @classmethod
+    def of_rows(cls, rows: Iterable) -> "SweepTable":
+        """The table of `rows`, each five cells in SweepRecord's field order;
+        an iterator is read once."""
+        return cls(*(list(zip(*rows, strict=True)) or [()] * 5))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SweepTable(*[column[index] for column in self.columns])
+        return tuple.__new__(SweepRecord, [column[index] for column in self.columns])
+
+    def __iter__(self) -> Iterator[SweepRecord]:
+        # tuple.__new__ builds each row in C; SweepRecord's own __new__ is a
+        # Python function, one frame per row
+        return map(tuple.__new__, itertools.repeat(SweepRecord), zip(*self.columns))
 
 
 def _point_seed(base_seed: int, siphon_total: int) -> int:
@@ -113,30 +160,26 @@ def _sampled_point(spec: SweepSpec, total: int) -> SweepRecord:
                        outcome.purity_received, outcome.decision is Decision.EVE_DETECTED)
 
 
-def _exact_records(siphon_totals: Iterable[int], s1, s3, theta_deg: float) -> List[SweepRecord]:
-    """One record per received state with linear Stokes components (s1, s3),
-    from exact_read_out for Alice's angle theta; angles are None where the
-    spectrum is degenerate."""
+def _exact_records(siphon_totals: Iterable[int], s1, s3, theta_deg: float) -> SweepTable:
+    """The table of the received states with linear Stokes components
+    (s1, s3), from exact_read_out for Alice's angle theta; its columns are
+    Python lists, with angles None where the spectrum is degenerate."""
     summary, detected = exact_read_out(np.ravel(s1), np.ravel(s3), theta_deg)
     angles = summary.principal_angle_deg.astype(object)
     angles[np.isnan(summary.principal_angle_deg)] = None
-    # tuple.__new__ builds each row in C; SweepRecord's own __new__ is a
-    # Python function, one frame per row
-    return list(map(tuple.__new__, itertools.repeat(SweepRecord), zip(
-        siphon_totals, summary.lambda_max.tolist(), angles.tolist(),
-        summary.purity.tolist(), detected.tolist(),
-    )))
+    return SweepTable(list(siphon_totals), summary.lambda_max.tolist(), angles.tolist(),
+                      summary.purity.tolist(), detected.tolist())
 
 
-def sweep_siphon(spec: SweepSpec) -> List[SweepRecord]:
+def sweep_siphon(spec: SweepSpec) -> SweepTable:
     """One protocol run per siphon total, split evenly across the two stages.
 
     Exact mode evaluates every total in one call of the Bloch-vector kernel;
     sampled mode runs the protocol once per total.
     """
     if spec.mode == "sampled":
-        return [_sampled_point(spec, total) for total in spec.siphon_totals]
-    half = np.array(spec.siphon_totals, dtype=np.int64) // 2
+        return SweepTable.of_rows([_sampled_point(spec, total) for total in spec.siphon_totals])
+    half = np.fromiter(spec.siphon_totals, np.int64, len(spec.siphon_totals)) // 2
     s1, s3 = received_stokes(
         spec.n_photons, spec.theta_deg, spec.bob_bit, half, half, spec.phi_deg
     )
@@ -208,20 +251,32 @@ def sweep_delta_family(
 
 
 _CSV_BLOCK_ROWS = 4096
-# a row's template by (angle is None, detected); %.0s swallows a None angle and the detected cell
-_SWEEP_ROWS = (
-    ("%s,%.6f,%.6f,%.6f,%.0sfalse\n", "%s,%.6f,%.6f,%.6f,%.0strue\n"),
-    ("%s,%.6f,%.0s,%.6f,%.0sfalse\n", "%s,%.6f,%.0s,%.6f,%.0strue\n"),
-)
+# a row's template by whether its angle is None; %.0s swallows a None angle
+_SWEEP_ROWS = ("%s,%.6f,%.6f,%.6f,%s\n", "%s,%.6f,%.0s,%.6f,%s\n")
 _DELTA_FAMILY_ROWS = ("%s,%s,%.6f,%.6f\n", "%s,%s,%.6f,%.0s\n")
+_DETECTED_CELLS = {False: "false", True: "true"}
 
 
-def _write_rows(path, header: str, rows: Iterable, block_text) -> None:
-    """Write `header` and `block_text` of each block of `rows`, through unsign_zeros, to `path`;
-    every block is formatted before the file opens, so a bad row leaves no file."""
-    rows = iter(rows)
-    blocks = iter(lambda: list(itertools.islice(rows, _CSV_BLOCK_ROWS)), [])
-    text = [header + "\n", *map(unsign_zeros, map(block_text, blocks))]
+def _write_blocks(path, header: str, columns: Sequence[Sequence], angle: int,
+                  rows: Tuple[str, str]) -> None:
+    """Write `header` and one CSV row per index of `columns`, the cells in
+    column order, to `path`. Each 4,096-row block is one `%` of `rows`' two
+    templates, picked by whether the angle (column `angle`) is None, and one
+    unsign_zeros; every block is formatted before the file opens, so a bad
+    row leaves no file."""
+    text = [header + "\n"]
+    width = len(columns)
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [column[start:start + _CSV_BLOCK_ROWS] for column in columns]
+        cells = [None] * (width * len(block[0]))
+        for i, column in enumerate(block):
+            cells[i::width] = column
+        angles = block[angle]
+        if None in angles:
+            template = "".join([rows[value is None] for value in angles])
+        else:
+            template = rows[0] * len(angles)
+        text.append(unsign_zeros(template % tuple(cells)))
     try:
         with open(path, "w", newline="") as fh:
             fh.writelines(text)
@@ -229,28 +284,28 @@ def _write_rows(path, header: str, rows: Iterable, block_text) -> None:
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
 
 
-def _sweep_block_text(block: List[SweepRecord]) -> str:
-    template = "".join([_SWEEP_ROWS[row[2] is None][bool(row[4])] for row in block])
-    return template % tuple(itertools.chain.from_iterable(block))
-
-
 def write_csv(records: Iterable[SweepRecord], path) -> None:
-    """Write a siphon-sweep CSV; byte-identical across runs for exact mode."""
-    _write_rows(path, SWEEP_CSV_HEADER, records, _sweep_block_text)
+    """Write a siphon-sweep CSV; byte-identical across runs for exact mode.
+
+    A SweepTable is formatted from its columns; any other rows are first
+    made one, read once.
+    """
+    table = records if isinstance(records, SweepTable) else SweepTable.of_rows(records)
+    totals, lambda_max, angles, purity, detected = table.columns
+    cells = list(map(_DETECTED_CELLS.__getitem__, map(operator.truth, detected)))
+    _write_blocks(path, SWEEP_CSV_HEADER, (totals, lambda_max, angles, purity, cells), 2,
+                  _SWEEP_ROWS)
 
 
 def write_delta_family_csv(table: Dict[Tuple[float, float], SweepRecord], path) -> None:
+    keys = sorted(table)
     # each distinct gap and fraction formatted once; -0.0 and 0.0 share a cell, unsigned either way
-    cells = {value: "%.6f" % value for value in set(itertools.chain.from_iterable(table))}
-
-    def block_text(block: List[Tuple[float, float]]) -> str:
-        records = list(map(table.__getitem__, block))
-        template = "".join([_DELTA_FAMILY_ROWS[record[2] is None] for record in records])
-        return template % tuple(itertools.chain.from_iterable(
-            (cells[delta], cells[fraction], record[1], record[2])
-            for (delta, fraction), record in zip(block, records)))
-
-    _write_rows(path, DELTA_FAMILY_CSV_HEADER, sorted(table), block_text)
+    cells = {value: "%.6f" % value for value in set(itertools.chain.from_iterable(keys))}
+    deltas, fractions = list(zip(*keys)) or [()] * 2
+    _, lambda_max, angles, _, _ = SweepTable.of_rows(map(table.__getitem__, keys)).columns
+    _write_blocks(path, DELTA_FAMILY_CSV_HEADER, (
+        list(map(cells.__getitem__, deltas)), list(map(cells.__getitem__, fractions)),
+        lambda_max, angles), 3, _DELTA_FAMILY_ROWS)
 
 
 # Figure presets: each pair of consecutive figures in the source data shares

@@ -603,6 +603,8 @@ def test_non_finite_angle_usage_error(capsys, tmp_path, argv, value):
     ("sweep", "--bit", "bit"),
     ("sweep", "--photons", "photons"),
     ("sweep", "--seed", "seed"),
+    ("tomography", "--photons-per-basis", "photons_per_basis"),
+    ("tomography", "--seed", "seed"),
 ])
 def test_help_states_the_defaults(capsys, monkeypatch, subcommand, flag, key):
     # the help text reads the default it states, so a changed one shows

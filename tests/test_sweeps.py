@@ -1,3 +1,5 @@
+import collections.abc
+import functools
 import hashlib
 import math
 import random
@@ -15,8 +17,11 @@ from polarsim.sweeps import (
     DELTA_FAMILY_CSV_HEADER,
     PRESETS,
     SWEEP_CSV_HEADER,
+    SweepTable,
     write_delta_family_csv,
 )
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class TestSweepSpec:
@@ -67,6 +72,48 @@ class TestSweepSpec:
         # the spec's base ProtocolConfig refuses what a run would misread
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ps.SweepSpec(theta_deg=30, phi_deg=45, siphon_totals=(0, 20), **fields)
+
+    @pytest.mark.parametrize("totals, message", [
+        ((3, 2, 4), "siphon totals must be non-negative even integers, got 3"),
+        ((0, 2, 5, 4), "siphon totals must be non-negative even integers, got 5"),
+        ((0, 2, 4, 7), "siphon totals must be non-negative even integers, got 7"),
+        ((0, -2, 4), "siphon totals must be non-negative even integers, got -2"),
+        ((4, 12, 2), "siphon total 12 exceeds n_photons 10"),
+        ((0, 2, INT64_MAX + 1), f"siphon total {INT64_MAX + 1} exceeds n_photons 10"),
+        ((0, -INT64_MAX - 3, 2),
+         f"siphon totals must be non-negative even integers, got {-INT64_MAX - 3}"),
+        ((0, 2.5, 3), "siphon totals must be integers, got 2.5"),
+        ((3, 2.5), "siphon totals must be non-negative even integers, got 3"),
+        ((0, True, 3), "siphon totals must be integers, got True"),
+        (np.array([0, 2, 5, 4]), "siphon totals must be non-negative even integers, got 5"),
+        ((0, np.int64(12), 2), "siphon total 12 exceeds n_photons 10"),
+        ([0, 2, 5, 4], "siphon totals must be non-negative even integers, got 5"),
+        ((4, 2), "siphon totals must be strictly increasing"),
+        ([2, 2], "siphon totals must be strictly increasing"),
+        (np.array([0, 4, 2]), "siphon totals must be strictly increasing"),
+    ], ids=["odd-start", "odd-middle", "odd-end", "negative", "above-budget-middle",
+            "above-int64", "below-int64", "float-before-odd", "odd-before-float", "bool",
+            "numpy-array", "numpy-int", "list", "decreasing", "repeated-list",
+            "decreasing-array"])
+    def test_first_bad_total_in_order_is_named(self, totals, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=10, siphon_totals=totals)
+
+    @pytest.mark.parametrize("totals", [
+        [0, 2, 10], (0, np.int64(2), np.uint8(10)), np.array([0, 2, 10]), iter((0, 2, 10)),
+    ], ids=["list", "mixed-numpy", "array", "iterator"])
+    def test_totals_stored_as_a_tuple_of_ints(self, totals):
+        spec = ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=10, siphon_totals=totals)
+        assert spec.siphon_totals == (0, 2, 10)
+        assert all(type(t) is int for t in spec.siphon_totals)
+
+    def test_totals_at_the_int64_limit(self):
+        spec = ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=INT64_MAX,
+                            siphon_totals=(0, INT64_MAX - 1))
+        assert spec.siphon_totals == (0, INT64_MAX - 1)
+        with pytest.raises(ValueError, match=f"even integers, got {INT64_MAX}$"):
+            ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=INT64_MAX,
+                         siphon_totals=(0, INT64_MAX))
 
     def test_photon_budget_fits_numpy_int64(self):
         limit = int(np.iinfo(np.int64).max)
@@ -531,3 +578,69 @@ def test_exact_rows_are_records_of_python_values():
     assert table[(90.0, 0.5)].peak_angle_deg is None
     for row in [*rows, *table.values()]:
         _assert_row_types(row)
+
+
+# at bit 1 a total equal to the photon budget leaves the received state
+# maximally mixed, with no peak angle: the last row of an exact table
+@functools.lru_cache(maxsize=None)
+def _swept_table(mode, n):
+    return ps.sweep_siphon(ps.SweepSpec(theta_deg=30, phi_deg=60, bob_bit=1,
+                                        n_photons=2 * (n - 1), siphon_totals=range(0, 2 * n, 2),
+                                        mode=mode, seed=9))
+
+
+class TestSweepTable:
+    """sweep_siphon's table: a read-only Sequence of SweepRecord rows, built
+    as they are read, and write_csv formats it straight from its columns."""
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_rows_by_index_slice_and_iteration(self, mode):
+        table = _swept_table(mode, 6)
+        assert isinstance(table, collections.abc.Sequence)
+        rows = list(table)
+        assert len(table) == len(rows) == 6
+        assert [row.siphon_total for row in rows] == [0, 2, 4, 6, 8, 10]
+        for row in rows:
+            _assert_row_types(row)
+        for i in range(-6, 6):
+            assert table[i] == rows[i]
+            _assert_row_types(table[i])
+        for index in (6, -7):
+            with pytest.raises(IndexError):
+                table[index]
+        for part in (slice(1, 4), slice(None, None, -1), slice(-2, None), slice(0, 6, 2),
+                     slice(7, 9)):
+            assert type(table[part]) is SweepTable
+            assert list(table[part]) == rows[part]
+            assert len(table[part]) == len(rows[part])
+        assert list(reversed(table)) == rows[::-1]
+        assert table.index(rows[3]) == 3 and rows[4] in table
+        if mode == "exact":
+            assert table[-1].peak_angle_deg is None
+
+    def test_read_only(self):
+        table = _swept_table("exact", 6)
+        with pytest.raises(TypeError):
+            table[0] = table[1]
+        with pytest.raises(TypeError):
+            del table[0]
+        assert not hasattr(table, "append")
+
+    def test_exact_columns_are_python_lists(self):
+        table = _swept_table("exact", 6)
+        assert all(type(column) is list for column in table.columns)
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_csv_from_columns_equals_csv_from_rows(self, tmp_path, mode, n):
+        table = _swept_table(mode, n)
+        totals, lambda_max, angles, purity, detected = table.columns
+        if None not in angles:  # a sampled state is never exactly degenerate
+            angles = list(angles)
+            angles[n // 2] = None
+            table = SweepTable(totals, lambda_max, angles, purity, detected)
+        assert len(table) == n and None in table.columns[2]
+        from_table, from_rows = tmp_path / "table.csv", tmp_path / "rows.csv"
+        ps.write_csv(table, from_table)
+        ps.write_csv(list(table), from_rows)
+        assert from_table.read_bytes() == from_rows.read_bytes() == reference_csv(table).encode()

@@ -67,6 +67,16 @@ class TestSimulateCounts:
         assert counts.n_r + counts.n_l == 500
 
 
+def test_numpy_binomial_stream_is_the_one_the_goldens_were_recorded_on():
+    # every sampled golden rests on default_rng's binomial stream, drawn one
+    # scalar per basis as sample_counts draws it; a numpy release that
+    # changes the stream fails here, under a name that says so
+    rng = np.random.default_rng(0)
+    draws = [int(rng.binomial(100_000, p)) for p in (0.5, 0.25, 0.9330127018922194, 1e-3)]
+    assert draws == [50198, 25011, 93289, 101], (
+        f"numpy {np.__version__} draws a different default_rng(0) binomial stream")
+
+
 class TestMeasure:
     def test_counts_of_the_mixture_matrix(self):
         # measure draws the counts simulate_counts draws from the matrix of
