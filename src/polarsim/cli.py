@@ -13,7 +13,7 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import __version__
 from .polarization import (
@@ -33,6 +33,7 @@ from .protocol import (
 )
 from .sweeps import (
     DELTA_FAMILY_PRESETS,
+    PRESET_TOTALS,
     PRESETS,
     SweepSpec,
     sweep_delta_family,
@@ -42,6 +43,7 @@ from .sweeps import (
 )
 from .tomography import (
     COUNTS_CSV_HEADER,
+    NUMPY_VERSION,
     RNG_ALGORITHM,
     TomographyConfig,
     measure,
@@ -51,10 +53,12 @@ from .tomography import (
 
 
 def _write_manifest(path: Path, args: argparse.Namespace, unread: Set[str],
-                    outputs: Sequence[Path], started: float) -> None:
+                    outputs: Sequence[Path], started: float,
+                    run: Iterable[Tuple[str, object]] = ()) -> None:
     """Write every flag of the run's subcommand but --out (key `theta_deg` is
-    flag `--theta`), empty where the run's path does not read it, with the
-    run's provenance."""
+    flag `--theta`), empty where the run's path does not read it, then each
+    (key, value) of the resolved `run` as `run.<key>=`, with the run's
+    provenance."""
     params: Dict[str, object] = {}
     for dest, value in vars(args).items():
         if dest in ("subcommand", "out"):
@@ -66,7 +70,9 @@ def _write_manifest(path: Path, args: argparse.Namespace, unread: Set[str],
         params[dest + "_deg" if dest in ("theta", "phi", "eve_angle") else dest] = value
     lines = [f"spec_revision={__version__}", f"subcommand={args.subcommand}"]
     lines += [f"{key}={params[key]}" for key in sorted(params)]
-    lines.append(f"rng_algorithm={RNG_ALGORITHM}")
+    lines += [f"run.{key}={value}" for key, value in run]
+    lines += [f"rng_algorithm={RNG_ALGORITHM}", f"numpy_version={NUMPY_VERSION}",
+              "python_version=%d.%d.%d" % sys.version_info[:3]]
     lines += [f"output={out}" for out in outputs]
     lines.append(f"duration_s={time.monotonic() - started:.3f}")
     path.write_text("\n".join(lines) + "\n")
@@ -241,24 +247,6 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_sweep_meta(path: Path, spec: SweepSpec, totals: str) -> None:
-    """Write the sweep's spec; `totals` is its siphon totals as comma-separated text."""
-    lines = [
-        f"theta_deg={spec.theta_deg}",
-        f"phi_deg={spec.phi_deg}",
-        f"bob_bit={spec.bob_bit}",
-        f"n_photons={spec.n_photons}",
-        f"siphon_totals={totals}",
-        "siphon_split=even-across-two-stages",
-        f"mode={spec.mode}",
-        f"seed={spec.seed}",
-    ]
-    if spec.mode == "sampled":
-        lines.append(f"photons_per_basis={spec.config.tomography.photons_per_basis}")
-    lines.append(f"rng_algorithm={RNG_ALGORITHM}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
     delta_family = args.preset in DELTA_FAMILY_PRESETS
@@ -279,6 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ))
     if unread is None:
         return 2
+    run: Dict[str, object] = {}  # the resolved siphon sweep; a delta-family grid records none
     # made only once the sweep has run, so that a refused one writes nothing
     out_dir = Path(args.out)
 
@@ -287,30 +276,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "delta_family.csv"
         write_delta_family_csv(table, csv_path)
-        outputs = [csv_path]
         print(f"sweep delta-family: {len(table)} points -> {csv_path}")
     else:
         if args.preset is None:
             name, theta, phi, totals = "custom", args.theta, args.phi, args.totals
         else:
-            base = PRESETS[args.preset]
-            name, theta, phi, totals = args.preset, base.theta_deg, base.phi_deg, base.siphon_totals
+            name, (theta, phi), totals = args.preset, PRESETS[args.preset], PRESET_TOTALS
         spec = SweepSpec(theta, phi, args.bit, args.photons, totals, args.mode, args.seed)
         records = sweep_siphon(spec)
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"{name}.csv"
-        meta_path = out_dir / f"{name}.meta.txt"
         write_csv(records, csv_path)
-        # the totals joined once, for the meta file and, as --totals, the manifest
+        # the totals joined once, for run.siphon_totals and, as --totals, the manifest
         totals_text = ",".join(map(str, spec.siphon_totals))
-        _write_sweep_meta(meta_path, spec, totals_text)
         if args.preset is None:
             args.totals = totals_text
-        outputs = [csv_path, meta_path]
+        run = {"theta_deg": spec.theta_deg, "phi_deg": spec.phi_deg, "bob_bit": spec.bob_bit,
+               "n_photons": spec.n_photons, "siphon_totals": totals_text,
+               "siphon_split": "even-across-two-stages", "mode": spec.mode, "seed": spec.seed}
+        if spec.mode == "sampled":
+            run["photons_per_basis"] = spec.config.tomography.photons_per_basis
         points = "" if args.preset is None else f" {len(records)} points"
         print(f"sweep {name}: theta={spec.theta_deg} phi={spec.phi_deg}{points} -> {csv_path}")
 
-    _write_manifest(out_dir / "manifest.txt", args, unread, outputs, started)
+    _write_manifest(out_dir / "manifest.txt", args, unread, [csv_path], started, run.items())
     return 0
 
 

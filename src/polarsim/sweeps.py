@@ -308,23 +308,16 @@ def write_delta_family_csv(table: Dict[Tuple[float, float], SweepRecord], path) 
         lambda_max, angles), 3, _DELTA_FAMILY_ROWS)
 
 
-# Figure presets: each pair of consecutive figures in the source data shares
-# one (theta, phi) sweep; fig2k plots the peak intensity, fig2k+1 the angle.
+# Figure presets, each the (theta, phi) of Alice's and Eve's angles: each
+# pair of consecutive figures in the source data shares one sweep; fig2k
+# plots the peak intensity, fig2k+1 the angle. All run over PRESET_TOTALS:
 # past a 0.5 Eve fraction the received state tips toward Eve's angle and the
 # peak intensity climbs again, so presets stop at half the photon budget
-_DEFAULT_TOTALS = tuple(range(0, 51, 10))
-
-PRESETS: Dict[str, SweepSpec] = {}
-for _name_pair, _theta, _phi in (
-    (("fig4", "fig5"), 22.5, 30.0),
-    (("fig6", "fig7"), 45.0, 60.0),
-    (("fig8", "fig9"), 30.0, 60.0),
-    (("fig10", "fig11"), 30.0, 90.0),
-):
-    for _name in _name_pair:
-        PRESETS[_name] = SweepSpec(
-            theta_deg=_theta, phi_deg=_phi, siphon_totals=_DEFAULT_TOTALS
-        )
+PRESET_TOTALS = tuple(range(0, 51, 10))
+PRESETS: Dict[str, Tuple[float, float]] = {
+    "fig4": (22.5, 30.0), "fig5": (22.5, 30.0), "fig6": (45.0, 60.0), "fig7": (45.0, 60.0),
+    "fig8": (30.0, 60.0), "fig9": (30.0, 60.0), "fig10": (30.0, 90.0), "fig11": (30.0, 90.0),
+}
 # fig12 (peak intensity) and fig13 (peak angle) are the combined delta-family
 # sweep; handled separately by the CLI under the "delta-family" preset name.
 DELTA_FAMILY_PRESETS = ("fig12", "fig13", "delta-family")

@@ -31,6 +31,8 @@ from .polarization import (
 
 # identifier recorded in run metadata so outputs are reproducible across hosts
 RNG_ALGORITHM = "numpy-pcg64"
+# recorded beside it: numpy does not promise the binomial stream across releases (NEP 19)
+NUMPY_VERSION = np.__version__
 
 COUNTS_CSV_HEADER = "n_h,n_v,n_d,n_a,n_r,n_l"
 

@@ -10,7 +10,7 @@ import pytest
 import polarsim as ps
 from polarsim.cli import main
 from polarsim.polarization import DensityMatrix
-from polarsim.sweeps import DEFAULT_DELTAS, DEFAULT_FRACTIONS, PRESETS
+from polarsim.sweeps import DEFAULT_DELTAS, DEFAULT_FRACTIONS, PRESET_TOTALS, PRESETS
 
 
 @contextlib.contextmanager
@@ -86,7 +86,7 @@ def test_criterion_5_oracle_equivalence():
 def test_criterion_6_figure_shapes():
     with criterion("criterion 6: figure-sweep monotonicity and delta ordering"):
         for name in ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11"):
-            spec = PRESETS[name]
+            spec = ps.SweepSpec(*PRESETS[name], siphon_totals=PRESET_TOTALS)
             records = ps.sweep_siphon(spec)
             lambdas = [r.lambda_max for r in records]
             assert all(b <= a + 1e-12 for a, b in zip(lambdas, lambdas[1:]))

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -253,10 +254,10 @@ class TestSweepCommand:
         csv_lines = (tmp_path / "fig4.csv").read_text().splitlines()
         lambdas = [float(row.split(",")[1]) for row in csv_lines[1:]]
         assert all(b <= a for a, b in zip(lambdas, lambdas[1:]))
-        meta = (tmp_path / "fig4.meta.txt").read_text()
-        assert "theta_deg=22.5" in meta
-        assert "phi_deg=30.0" in meta
-        assert (tmp_path / "manifest.txt").exists()
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "run.theta_deg=22.5" in manifest
+        assert "run.phi_deg=30.0" in manifest
+        assert list(tmp_path.glob("*.meta.*")) == []
 
     def test_delta_family_preset(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--preset", "delta-family", "--out", str(tmp_path))
@@ -396,17 +397,22 @@ class TestSweepCommand:
             "--out", str(tmp_path),
         )
         assert code == 0
-        assert "seed=3" in (tmp_path / "fig4.meta.txt").read_text().splitlines()
-        assert "seed=3" in (tmp_path / "manifest.txt").read_text().splitlines()
+        manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+        assert "run.seed=3" in manifest
+        assert "seed=3" in manifest
+        assert list(tmp_path.glob("*.meta.*")) == []
 
     def test_exact_meta_bytes(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--preset", "fig4", "--out", str(tmp_path))
         assert code == 0
-        assert (tmp_path / "fig4.meta.txt").read_text() == (
-            "theta_deg=22.5\nphi_deg=30.0\nbob_bit=0\nn_photons=100\n"
-            "siphon_totals=0,10,20,30,40,50\nsiphon_split=even-across-two-stages\n"
-            "mode=exact\nseed=0\nrng_algorithm=numpy-pcg64\n"
+        # the run block, from its first run. line through the rng_algorithm line
+        manifest = (tmp_path / "manifest.txt").read_text()
+        assert manifest[manifest.index("run."):manifest.index("numpy_version=")] == (
+            "run.theta_deg=22.5\nrun.phi_deg=30.0\nrun.bob_bit=0\nrun.n_photons=100\n"
+            "run.siphon_totals=0,10,20,30,40,50\nrun.siphon_split=even-across-two-stages\n"
+            "run.mode=exact\nrun.seed=0\nrng_algorithm=numpy-pcg64\n"
         )
+        assert list(tmp_path.glob("*.meta.*")) == []
 
     def test_sampled_meta_records_photons_per_basis(self, capsys, tmp_path):
         code, _, _ = run_cli(
@@ -414,8 +420,11 @@ class TestSweepCommand:
             "--mode", "sampled", "--out", str(tmp_path),
         )
         assert code == 0
-        lines = (tmp_path / "custom.meta.txt").read_text().splitlines()
-        assert lines[-3:] == ["seed=0", "photons_per_basis=100000", "rng_algorithm=numpy-pcg64"]
+        lines = (tmp_path / "manifest.txt").read_text().splitlines()
+        end = lines.index("rng_algorithm=numpy-pcg64") + 1
+        assert lines[end - 3:end] == [
+            "run.seed=0", "run.photons_per_basis=100000", "rng_algorithm=numpy-pcg64"]
+        assert list(tmp_path.glob("*.meta.*")) == []
 
     def test_reproducible_output(self, capsys, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -641,8 +650,10 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
     assert "decision=Bit0" in capsys.readouterr().out
 
 
-# manifest lines that record where a run came from, not a flag it read
-PROVENANCE = {"spec_revision", "subcommand", "rng_algorithm", "output", "duration_s"}
+# manifest lines that record where a run came from, not a flag it read; a
+# siphon sweep's `run.` lines, the run it resolved, are not flags either
+PROVENANCE = {"spec_revision", "subcommand", "rng_algorithm", "numpy_version", "python_version",
+              "output", "duration_s"}
 
 
 def flag_of(key):
@@ -656,7 +667,7 @@ def argv_from_manifest(path):
     fields = [line.split("=", 1) for line in path.read_text().splitlines()]
     argv = [dict(fields)["subcommand"]]
     for key, value in fields:
-        if key not in PROVENANCE and value:
+        if key not in PROVENANCE and not key.startswith("run.") and value:
             argv += [flag_of(key), value]
     return argv
 
@@ -716,10 +727,66 @@ def test_manifest_records_every_flag(capsys, tmp_path, argv, csv_name, unread):
     # does not read it
     _, manifest = run_with_out(capsys, argv, tmp_path / "out", csv_name)
     fields = [line.split("=", 1) for line in manifest.read_text().splitlines()]
-    params = {key: value for key, value in fields if key not in PROVENANCE}
+    params = {key: value for key, value in fields
+              if key not in PROVENANCE and not key.startswith("run.")}
     [subparsers] = [action for action in cli.build_parser()._actions
                     if action.dest == "subcommand"]
     flags = {flag for action in subparsers.choices[argv[0]]._actions
              for flag in action.option_strings} - {"-h", "--help", "--out"}
     assert sorted(map(flag_of, params)) == sorted(flags)
     assert {key for key, value in params.items() if value == ""} == unread
+
+
+def preset_meta_lines(theta, phi):
+    return [f"theta_deg={theta}", f"phi_deg={phi}", "bob_bit=0", "n_photons=100",
+            "siphon_totals=0,10,20,30,40,50", "siphon_split=even-across-two-stages",
+            "mode=exact", "seed=0", "rng_algorithm=numpy-pcg64"]
+
+
+# every line of the metadata sidecar (`<name>.meta` plus `.txt`) that a
+# siphon sweep wrote beside its manifest before the manifest took them
+# over, recorded from that version
+META_LINES = [
+    *[pytest.param(["sweep", "--preset", name], preset_meta_lines(theta, phi), id=name)
+      for name, theta, phi in [
+          ("fig4", "22.5", "30.0"), ("fig5", "22.5", "30.0"), ("fig6", "45.0", "60.0"),
+          ("fig7", "45.0", "60.0"), ("fig8", "30.0", "60.0"), ("fig9", "30.0", "60.0"),
+          ("fig10", "30.0", "90.0"), ("fig11", "30.0", "90.0")]],
+    pytest.param(["sweep", "--preset", "fig4", "--mode", "sampled", "--seed", "3", "--bit", "1",
+                  "--photons", "80"],
+                 ["theta_deg=22.5", "phi_deg=30.0", "bob_bit=1", "n_photons=80",
+                  "siphon_totals=0,10,20,30,40,50", "siphon_split=even-across-two-stages",
+                  "mode=sampled", "seed=3", "photons_per_basis=100000",
+                  "rng_algorithm=numpy-pcg64"], id="fig4-sampled"),
+    pytest.param(["sweep", "--theta", "30", "--phi", "45", "--totals", "0,10,40", "--bit", "1",
+                  "--photons", "200"],
+                 ["theta_deg=30.0", "phi_deg=45.0", "bob_bit=1", "n_photons=200",
+                  "siphon_totals=0,10,40", "siphon_split=even-across-two-stages",
+                  "mode=exact", "seed=0", "rng_algorithm=numpy-pcg64"], id="custom-exact"),
+    pytest.param(["sweep", "--theta", "-0", "--phi", "180", "--totals", "0,2", "--photons", "10",
+                  "--mode", "sampled", "--seed", "5"],
+                 ["theta_deg=0.0", "phi_deg=0.0", "bob_bit=0", "n_photons=10",
+                  "siphon_totals=0,2", "siphon_split=even-across-two-stages",
+                  "mode=sampled", "seed=5", "photons_per_basis=100000",
+                  "rng_algorithm=numpy-pcg64"], id="custom-sampled"),
+]
+
+
+@pytest.mark.parametrize("argv, meta", META_LINES)
+def test_manifest_holds_every_meta_line(capsys, tmp_path, argv, meta):
+    # each line as `run.<line>`, in the same order, but rng_algorithm, which
+    # the manifest already records as a line of its own
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("run.")] == ["run." + m for m in meta[:-1]]
+    assert meta[-1] in lines
+    assert list(tmp_path.glob("*.meta.*")) == []
+
+
+@pytest.mark.parametrize("argv, csv_name, unread", MANIFEST_CASES)
+def test_manifest_records_numpy_and_python_versions(capsys, tmp_path, argv, csv_name, unread):
+    _, manifest = run_with_out(capsys, argv, tmp_path / "out", csv_name)
+    fields = dict(line.split("=", 1) for line in manifest.read_text().splitlines())
+    assert fields["numpy_version"] == np.__version__
+    assert fields["python_version"] == "%d.%d.%d" % sys.version_info[:3]

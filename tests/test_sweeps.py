@@ -15,6 +15,7 @@ from polarsim.sweeps import (
     DEFAULT_DELTAS,
     DEFAULT_FRACTIONS,
     DELTA_FAMILY_CSV_HEADER,
+    PRESET_TOTALS,
     PRESETS,
     SWEEP_CSV_HEADER,
     SweepTable,
@@ -318,13 +319,21 @@ class TestSweepDeltaFamily:
 class TestPeakAngleDrift:
     @pytest.mark.parametrize("name", ["fig4", "fig6", "fig8", "fig10"])
     def test_angle_moves_from_theta_toward_phi(self, name):
-        spec = PRESETS[name]
+        spec = ps.SweepSpec(*PRESETS[name], siphon_totals=PRESET_TOTALS)
         records = ps.sweep_siphon(spec)
         angles = [r.peak_angle_deg for r in records if r.peak_angle_deg is not None]
         lo, hi = sorted((spec.theta_deg, spec.phi_deg))
         assert angles[0] == pytest.approx(spec.theta_deg, abs=1e-9)
         assert all(lo - 1e-9 <= a <= hi + 1e-9 for a in angles)
         assert all(b >= a - 1e-9 for a, b in zip(angles, angles[1:]))
+
+
+def test_presets_are_angle_pairs_not_specs():
+    # importing polarsim builds no SweepSpec: a preset is its (theta, phi)
+    # pair, and the CLI builds the one spec it runs
+    assert not any(isinstance(value, ps.SweepSpec) for value in PRESETS.values())
+    assert all(type(value) is tuple and len(value) == 2 for value in PRESETS.values())
+    assert PRESETS["fig4"] == (22.5, 30.0)
 
 
 def test_record_is_a_tuple_in_field_order():
@@ -383,7 +392,7 @@ class TestCsvOutput:
         assert float(row[1]) == pytest.approx(0.9892, abs=5e-4)
 
     def test_byte_identical_across_runs(self, tmp_path):
-        spec = PRESETS["fig4"]
+        spec = ps.SweepSpec(*PRESETS["fig4"], siphon_totals=PRESET_TOTALS)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         ps.write_csv(ps.sweep_siphon(spec), p1)
         ps.write_csv(ps.sweep_siphon(spec), p2)
