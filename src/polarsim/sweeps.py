@@ -12,7 +12,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -212,12 +212,62 @@ def closed_form_lambda_max(fraction: float, delta_deg: float) -> float:
     return 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * fraction * (1.0 - fraction) * s * s)))
 
 
+class DeltaFamilyTable(Mapping):
+    """Read-only map from each (gap, fraction) of a delta-family grid to its
+    SweepRecord, kept as the grid's two axes and a SweepTable of its rows.
+
+    Each axis is a dict from its values, in the given order, to their
+    positions in sorted order; the rows run over the sorted gaps, then the
+    sorted fractions, the order write_delta_family_csv writes them in. Keys
+    come in the given product order; a key and its row are built only when
+    one is read.
+    """
+
+    __slots__ = ("delta_rank", "fraction_rank", "records")
+
+    def __init__(self, delta_rank: Dict, fraction_rank: Dict, records: SweepTable) -> None:
+        self.delta_rank, self.fraction_rank, self.records = delta_rank, fraction_rank, records
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator[Tuple[float, float]]:
+        return itertools.product(self.delta_rank, self.fraction_rank)
+
+    def __getitem__(self, key) -> SweepRecord:
+        # a dict's KeyError for anything but a (gap, fraction) pair of the grid
+        if isinstance(key, tuple) and len(key) == 2:
+            try:
+                return self.records[self.delta_rank[key[0]] * len(self.fraction_rank)
+                                    + self.fraction_rank[key[1]]]
+            except KeyError:
+                pass
+        raise KeyError(key)
+
+
+def _grid_axis(name: str, values: Tuple) -> Tuple[list, Dict]:
+    """`values` sorted, and a dict from each of them, in the given order, to
+    its position there. A value equal to an earlier one (as -0.0 is to 0.0,
+    or 15.0 to 15) would be its table key too and drop its grid points, so
+    the first such value is refused."""
+    rank: Dict = {}
+    for value in values:
+        if value in rank:
+            raise ValueError(f"{name} must not repeat, got {value} twice")
+        rank[value] = None
+    ordered = sorted(values)
+    rank.update(zip(ordered, range(len(ordered))))
+    return ordered, rank
+
+
 def sweep_delta_family(
     deltas: Iterable[float] = DEFAULT_DELTAS,
     base_theta: float = 30.0,
     fraction_grid: Iterable[float] = DEFAULT_FRACTIONS,
-) -> Dict[Tuple[float, float], SweepRecord]:
-    """Peak intensity and angle over (angle gap, Eve fraction) combinations.
+) -> DeltaFamilyTable:
+    """Peak intensity and angle over (angle gap, Eve fraction) combinations,
+    as a read-only mapping from (delta, fraction) to SweepRecord whose keys
+    come in the order product(deltas, fraction_grid).
 
     Eve's angle is base_theta + delta; records come from the exact mixture,
     the whole grid in one call of the Bloch-vector kernel, and `detected`
@@ -234,20 +284,15 @@ def sweep_delta_family(
         normalize_angle(delta)
     for f in fraction_grid:
         _check_fraction(f, 0.5)
-    # a repeated value would collide with itself as a table key (as -0.0
-    # does with 0.0) and silently drop grid points
-    for name, values in (("deltas", deltas), ("fractions", fraction_grid)):
-        seen = set()
-        for value in values:
-            if value in seen:
-                raise ValueError(f"{name} must not repeat, got {value} twice")
-            seen.add(value)
+    deltas, delta_rank = _grid_axis("deltas", deltas)
+    fraction_grid, fraction_rank = _grid_axis("fractions", fraction_grid)
+    # the grid in sorted order, so that its CSV takes the kernel's columns as they are
     a1, a3 = linear_stokes(theta)
     b1, b3 = linear_stokes(np.array([[normalize_angle(base_theta + d)] for d in deltas]))
     f = np.array(fraction_grid, dtype=float)
     totals = [round(fraction * SweepSpec.n_photons) for fraction in fraction_grid] * len(deltas)
     records = _exact_records(totals, (1.0 - f) * a1 + f * b1, (1.0 - f) * a3 + f * b3, theta)
-    return dict(zip(itertools.product(deltas, fraction_grid), records))
+    return DeltaFamilyTable(delta_rank, fraction_rank, records)
 
 
 _CSV_BLOCK_ROWS = 4096
@@ -297,15 +342,31 @@ def write_csv(records: Iterable[SweepRecord], path) -> None:
                   _SWEEP_ROWS)
 
 
-def write_delta_family_csv(table: Dict[Tuple[float, float], SweepRecord], path) -> None:
-    keys = sorted(table)
-    # each distinct gap and fraction formatted once; -0.0 and 0.0 share a cell, unsigned either way
-    cells = {value: "%.6f" % value for value in set(itertools.chain.from_iterable(keys))}
-    deltas, fractions = list(zip(*keys)) or [()] * 2
-    _, lambda_max, angles, _, _ = SweepTable.of_rows(map(table.__getitem__, keys)).columns
-    _write_blocks(path, DELTA_FAMILY_CSV_HEADER, (
-        list(map(cells.__getitem__, deltas)), list(map(cells.__getitem__, fractions)),
-        lambda_max, angles), 3, _DELTA_FAMILY_ROWS)
+def write_delta_family_csv(table: Mapping[Tuple[float, float], SweepRecord], path) -> None:
+    """Write a delta-family CSV, its rows sorted by gap, then by fraction.
+
+    A DeltaFamilyTable is written from its sorted axes and its rows' columns,
+    which are already in that order; the keys of any other mapping are
+    sorted and its rows made a SweepTable. Each gap and fraction is formatted
+    once.
+    """
+    if isinstance(table, DeltaFamilyTable):
+        deltas, fractions = sorted(table.delta_rank), sorted(table.fraction_rank)
+        fraction_cells = ["%.6f" % value for value in fractions] * len(deltas)
+        delta_cells = list(itertools.chain.from_iterable(
+            itertools.repeat("%.6f" % value, len(fractions)) for value in deltas))
+        records = table.records
+    else:
+        keys = sorted(table)
+        # -0.0 and 0.0 share a cell, unsigned either way
+        cells = {value: "%.6f" % value for value in set(itertools.chain.from_iterable(keys))}
+        deltas, fractions = list(zip(*keys)) or [()] * 2
+        delta_cells = list(map(cells.__getitem__, deltas))
+        fraction_cells = list(map(cells.__getitem__, fractions))
+        records = SweepTable.of_rows(map(table.__getitem__, keys))
+    _, lambda_max, angles, _, _ = records.columns
+    _write_blocks(path, DELTA_FAMILY_CSV_HEADER, (delta_cells, fraction_cells, lambda_max, angles),
+                  3, _DELTA_FAMILY_ROWS)
 
 
 # Figure presets, each the (theta, phi) of Alice's and Eve's angles: each

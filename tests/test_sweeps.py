@@ -1,6 +1,7 @@
 import collections.abc
 import functools
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -18,9 +19,12 @@ from polarsim.sweeps import (
     PRESET_TOTALS,
     PRESETS,
     SWEEP_CSV_HEADER,
+    DeltaFamilyTable,
     SweepTable,
+    _exact_records,
     write_delta_family_csv,
 )
+from polarsim.polarization import linear_stokes
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -364,6 +368,25 @@ def test_delta_family_grid_csv_golden_bytes(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DELTA_GRID_CSV_SHA256
 
 
+# sha256 of write_delta_family_csv over a seeded 81 x 51 grid, both axes
+# shuffled, recorded while sweep_delta_family still returned a dict; its
+# 4,131 rows cross the writer's 4,096-row block edge
+SHUFFLED_GRID_CSV_SHA256 = "0509468625c098dec6ec186ec23ecc53a3ee6395f1db3f2105916bf3f981c008"
+
+
+def test_delta_family_shuffled_grid_csv_golden_bytes(tmp_path):
+    rng = random.Random("delta-grid-shuffled")
+    deltas = rng.sample([0.5 * k for k in range(-180, 181)], 81)
+    fractions = rng.sample([round(0.01 * k, 2) for k in range(51)], 51)
+    table = ps.sweep_delta_family(deltas, 0.5 * rng.randrange(360), fractions)
+    path = tmp_path / "grid.csv"
+    write_delta_family_csv(table, path)
+    assert len(path.read_text().splitlines()) == 1 + 4131
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHUFFLED_GRID_CSV_SHA256
+    write_delta_family_csv(dict(table), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHUFFLED_GRID_CSV_SHA256
+
+
 class TestCsvOutput:
     def test_empty_records(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -653,3 +676,109 @@ class TestSweepTable:
         ps.write_csv(table, from_table)
         ps.write_csv(list(table), from_rows)
         assert from_table.read_bytes() == from_rows.read_bytes() == reference_csv(table).encode()
+
+
+def family_as_dict(deltas, base_theta, fractions):
+    """sweep_delta_family's value as 0.6.0 built it: the kernel's rows over
+    the grid in the given product order, as dict(zip(product(...), records))."""
+    theta = ps.normalize_angle(base_theta)
+    a1, a3 = linear_stokes(theta)
+    b1, b3 = linear_stokes(np.array([[ps.normalize_angle(base_theta + d)] for d in deltas]))
+    f = np.array(fractions, dtype=float)
+    totals = [round(100 * fraction) for fraction in fractions] * len(deltas)
+    records = _exact_records(totals, (1.0 - f) * a1 + f * b1, (1.0 - f) * a3 + f * b3, theta)
+    return dict(zip(itertools.product(deltas, fractions), records))
+
+
+# a grid axis in drawn order: unique=True draws no two equal values, so
+# neither -0.0 and 0.0 nor 15 and 15.0
+gaps = st.lists(st.floats(-360.0, 360.0) | st.integers(-360, 360), min_size=1, max_size=8,
+                unique=True)
+eve_fractions = st.lists(st.floats(0.0, 0.5), min_size=1, max_size=8, unique=True)
+
+
+class TestDeltaFamilyTable:
+    """sweep_delta_family's table: a read-only Mapping from (gap, fraction)
+    to SweepRecord, its rows built as they are read, and write_delta_family_csv
+    formats it straight from its axes and columns."""
+
+    DELTAS, FRACTIONS = (60.0, 7.5, -15.0, 30.0), (0.25, 0.0, 0.5, 0.1)
+
+    def test_mapping_in_the_given_product_order(self):
+        table = ps.sweep_delta_family(self.DELTAS, 30.0, self.FRACTIONS)
+        assert isinstance(table, collections.abc.Mapping)
+        assert type(table) is DeltaFamilyTable
+        keys = list(itertools.product(self.DELTAS, self.FRACTIONS))
+        assert len(table) == 16
+        assert list(table) == list(table.keys()) == keys
+        assert [key for key, _ in table.items()] == keys
+        assert list(table.values()) == [table[key] for key in keys]
+        assert all(key in table for key in keys)
+        assert (15.0, 0.25) not in table and (60.0, 0.3) not in table
+
+    def test_rows_are_built_when_read(self):
+        table = ps.sweep_delta_family(self.DELTAS, 30.0, self.FRACTIONS)
+        assert type(table.records) is SweepTable
+        assert all(type(column) is list for column in table.records.columns)
+
+    def test_lookup_by_an_equal_key_of_another_type(self):
+        table = ps.sweep_delta_family((15.0, 30), 30.0, (0.0, 0.25))
+        row = table[(15.0, 0.25)]
+        assert table[(15, 0.25)] == table[(np.float64(15.0), np.float64(0.25))] == row
+        assert table[(30.0, 0)] == table[(np.int64(30), 0.0)] == table[(30, 0.0)]
+        assert table[(30.0, 0)].lambda_max == 1.0
+        # a key is the value as given, as in a dict
+        assert list(table) == [(15.0, 0.0), (15.0, 0.25), (30, 0.0), (30, 0.25)]
+        assert type(list(table)[2][0]) is int
+
+    @pytest.mark.parametrize("key", [
+        (15.0, 0.3), (16.0, 0.25), (0.25, 15.0), (math.nan, 0.25), 15.0, (15.0,),
+        (15.0, 0.25, 0.0), (), "ab", [15.0, 0.25], None,
+    ], ids=["missing-fraction", "missing-gap", "swapped", "nan", "scalar", "1-tuple",
+            "3-tuple", "empty", "str", "list", "none"])
+    def test_missing_or_malformed_key(self, key):
+        table = ps.sweep_delta_family((15.0, 30.0), 30.0, (0.0, 0.25))
+        with pytest.raises(KeyError) as info:
+            table[key]
+        assert info.value.args == (key,)
+        assert key not in table
+        assert table.get(key) is None
+
+    def test_read_only(self):
+        table = ps.sweep_delta_family(self.DELTAS, 30.0, self.FRACTIONS)
+        with pytest.raises(TypeError):
+            table[(60.0, 0.25)] = table[(7.5, 0.25)]
+        with pytest.raises(TypeError):
+            del table[(60.0, 0.25)]
+        assert not hasattr(table, "update") and not hasattr(table, "pop")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-360.0, 360.0), gaps, eve_fractions)
+    def test_equals_the_dict_of_0_6_0(self, base, deltas, fractions):
+        table = ps.sweep_delta_family(deltas, base, fractions)
+        expected = family_as_dict(deltas, base, fractions)
+        assert dict(table) == expected and table == expected
+        assert list(table.items()) == list(expected.items())
+        for row in table.values():
+            _assert_row_types(row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-360.0, 360.0), gaps, eve_fractions)
+    def test_csv_from_axes_equals_csv_from_dict(self, tmp_path_factory, base, deltas, fractions):
+        table = ps.sweep_delta_family(deltas, base, fractions)
+        directory = tmp_path_factory.mktemp("csv")
+        write_delta_family_csv(table, directory / "table.csv")
+        write_delta_family_csv(dict(table), directory / "dict.csv")
+        assert ((directory / "table.csv").read_bytes() == (directory / "dict.csv").read_bytes()
+                == reference_delta_family_csv(table).encode())
+
+    @pytest.mark.parametrize("deltas, fractions", [
+        ((45.0,), (0.5, 0.0, 0.25)), ((90.0, -7.5, 0.0), (0.5,)), ((-0.0,), (-0.0,)),
+    ], ids=["one-gap", "one-fraction", "one-point"])
+    def test_csv_of_a_grid_with_one_value_on_an_axis(self, tmp_path, deltas, fractions):
+        table = ps.sweep_delta_family(deltas, 0.0, fractions)
+        write_delta_family_csv(table, tmp_path / "table.csv")
+        write_delta_family_csv(dict(table), tmp_path / "dict.csv")
+        text = (tmp_path / "table.csv").read_text()
+        assert text == (tmp_path / "dict.csv").read_text() == reference_delta_family_csv(table)
+        assert len(text.splitlines()) == 1 + len(deltas) * len(fractions)
