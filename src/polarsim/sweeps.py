@@ -8,6 +8,7 @@ byte-identical across runs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -25,7 +26,6 @@ from .polarization import (
     is_real,
     linear_stokes,
     normalize_angle,
-    unsign_zeros,
 )
 from .protocol import (
     Decision,
@@ -110,34 +110,80 @@ class SweepRecord(NamedTuple):
 class SweepTable(Sequence):
     """Read-only SweepRecord rows kept as five columns, one per field.
 
-    A row is built only when it is read; a slice is a table of the sliced
-    columns. write_csv formats the columns without building rows.
+    A table from the kernel or from of_rows keeps numpy columns: siphon
+    totals as int64 (from of_rows, as objects when one is not an int within
+    int64), lambda_max, peak angle and purity as float64 and detected as
+    bool, with `angle_defined`, the bool mask of the rows whose peak angle is
+    not None (a None angle is held as NaN). Columns given without that mask
+    are kept and read as given, and write_csv converts their rows by
+    of_rows.
+
+    A row is built only when it is read, with Python values (an int, floats,
+    None or a float, a bool); a slice is a table of the sliced columns.
+    write_csv formats the columns without building rows.
     """
 
-    __slots__ = ("columns",)
+    __slots__ = ("columns", "angle_defined")
 
     def __init__(self, siphon_total: Sequence, lambda_max: Sequence,
-                 peak_angle_deg: Sequence, purity: Sequence, detected: Sequence) -> None:
+                 peak_angle_deg: Sequence, purity: Sequence, detected: Sequence,
+                 angle_defined: Optional[np.ndarray] = None) -> None:
         self.columns = (siphon_total, lambda_max, peak_angle_deg, purity, detected)
+        self.angle_defined = angle_defined
 
     @classmethod
     def of_rows(cls, rows: Iterable) -> "SweepTable":
-        """The table of `rows`, each five cells in SweepRecord's field order;
-        an iterator is read once."""
-        return cls(*(list(zip(*rows, strict=True)) or [()] * 5))
+        """The numpy table of `rows`, each five cells in SweepRecord's field
+        order; an iterator is read once. A float cell that `%.6f` would
+        refuse (None, a string, an int beyond float) raises as `%` does, as
+        array('d') converts by the same rule."""
+        totals, lambda_max, angles, purity, detected = list(zip(*rows, strict=True)) or [()] * 5
+        n = len(totals)
+        column = None
+        if operator.countOf(map(type, totals), int) == n:
+            try:
+                column = np.fromiter(totals, np.int64, n)
+            except OverflowError:
+                pass
+        if column is None:  # each written as `%s` writes it
+            column = np.fromiter(totals, object, n)
+        defined = np.array([angle is not None for angle in angles], bool)
+        angles = [math.nan if angle is None else angle for angle in angles]
+        return cls(column, _float_column(lambda_max), _float_column(angles),
+                   _float_column(purity), np.fromiter(map(operator.truth, detected), bool),
+                   defined)
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __getitem__(self, index):
+        columns, defined = self.columns, self.angle_defined
         if isinstance(index, slice):
-            return SweepTable(*[column[index] for column in self.columns])
-        return tuple.__new__(SweepRecord, [column[index] for column in self.columns])
+            return SweepTable(*[column[index] for column in columns],
+                              None if defined is None else defined[index])
+        if defined is None:
+            return tuple.__new__(SweepRecord, [column[index] for column in columns])
+        row = [column.item(index) for column in columns]
+        if not defined.item(index):
+            row[2] = None
+        return tuple.__new__(SweepRecord, row)
 
     def __iter__(self) -> Iterator[SweepRecord]:
+        columns = self.columns
+        if self.angle_defined is not None:
+            columns = [column.tolist() for column in columns]
+            for i in np.flatnonzero(~self.angle_defined).tolist():
+                columns[2][i] = None
         # tuple.__new__ builds each row in C; SweepRecord's own __new__ is a
         # Python function, one frame per row
-        return map(tuple.__new__, itertools.repeat(SweepRecord), zip(*self.columns))
+        return map(tuple.__new__, itertools.repeat(SweepRecord), zip(*columns))
+
+
+def _float_column(cells: Iterable) -> np.ndarray:
+    """`cells` as a float64 array, each refused as `%.6f` refuses it."""
+    from array import array  # an extension module, so not at `import polarsim`
+
+    return np.asarray(array("d", cells))
 
 
 def _point_seed(base_seed: int, siphon_total: int) -> int:
@@ -160,15 +206,15 @@ def _sampled_point(spec: SweepSpec, total: int) -> SweepRecord:
                        outcome.purity_received, outcome.decision is Decision.EVE_DETECTED)
 
 
-def _exact_records(siphon_totals: Iterable[int], s1, s3, theta_deg: float) -> SweepTable:
+def _exact_records(siphon_totals: Sequence[int], s1, s3, theta_deg: float) -> SweepTable:
     """The table of the received states with linear Stokes components
-    (s1, s3), from exact_read_out for Alice's angle theta; its columns are
-    Python lists, with angles None where the spectrum is degenerate."""
+    (s1, s3), from exact_read_out for Alice's angle theta: the kernel's
+    columns as they come, with the angle undefined where the spectrum is
+    degenerate (its NaN)."""
     summary, detected = exact_read_out(np.ravel(s1), np.ravel(s3), theta_deg)
-    angles = summary.principal_angle_deg.astype(object)
-    angles[np.isnan(summary.principal_angle_deg)] = None
-    return SweepTable(list(siphon_totals), summary.lambda_max.tolist(), angles.tolist(),
-                      summary.purity.tolist(), detected.tolist())
+    angles = summary.principal_angle_deg
+    return SweepTable(np.asarray(siphon_totals, np.int64), summary.lambda_max, angles,
+                      summary.purity, detected, ~np.isnan(angles))
 
 
 def sweep_siphon(spec: SweepSpec) -> SweepTable:
@@ -179,11 +225,12 @@ def sweep_siphon(spec: SweepSpec) -> SweepTable:
     """
     if spec.mode == "sampled":
         return SweepTable.of_rows([_sampled_point(spec, total) for total in spec.siphon_totals])
-    half = np.fromiter(spec.siphon_totals, np.int64, len(spec.siphon_totals)) // 2
+    totals = np.fromiter(spec.siphon_totals, np.int64, len(spec.siphon_totals))
+    half = totals // 2
     s1, s3 = received_stokes(
         spec.n_photons, spec.theta_deg, spec.bob_bit, half, half, spec.phi_deg
     )
-    return _exact_records(spec.siphon_totals, s1, s3, spec.theta_deg)
+    return _exact_records(totals, s1, s3, spec.theta_deg)
 
 
 def _check_fraction(fraction, upper: float) -> None:
@@ -290,40 +337,130 @@ def sweep_delta_family(
     a1, a3 = linear_stokes(theta)
     b1, b3 = linear_stokes(np.array([[normalize_angle(base_theta + d)] for d in deltas]))
     f = np.array(fraction_grid, dtype=float)
-    totals = [round(fraction * SweepSpec.n_photons) for fraction in fraction_grid] * len(deltas)
+    totals = np.tile([round(fraction * SweepSpec.n_photons) for fraction in fraction_grid],
+                     len(deltas))
     records = _exact_records(totals, (1.0 - f) * a1 + f * b1, (1.0 - f) * a3 + f * b3, theta)
     return DeltaFamilyTable(delta_rank, fraction_rank, records)
 
 
 _CSV_BLOCK_ROWS = 4096
-# a row's template by whether its angle is None; %.0s swallows a None angle
-_SWEEP_ROWS = ("%s,%.6f,%.6f,%.6f,%s\n", "%s,%.6f,%.0s,%.6f,%s\n")
-_DELTA_FAMILY_ROWS = ("%s,%s,%.6f,%.6f\n", "%s,%s,%.6f,%.0s\n")
-_DETECTED_CELLS = {False: "false", True: "true"}
 
 
-def _write_blocks(path, header: str, columns: Sequence[Sequence], angle: int,
-                  rows: Tuple[str, str]) -> None:
-    """Write `header` and one CSV row per index of `columns`, the cells in
-    column order, to `path`. Each 4,096-row block is one `%` of `rows`' two
-    templates, picked by whether the angle (column `angle`) is None, and one
-    unsign_zeros; every block is formatted before the file opens, so a bad
-    row leaves no file."""
-    text = [header + "\n"]
-    width = len(columns)
-    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-        block = [column[start:start + _CSV_BLOCK_ROWS] for column in columns]
-        cells = [None] * (width * len(block[0]))
-        for i, column in enumerate(block):
-            cells[i::width] = column
-        angles = block[angle]
-        if None in angles:
-            template = "".join([rows[value is None] for value in angles])
-        else:
-            template = rows[0] * len(angles)
-        text.append(unsign_zeros(template % tuple(cells)))
+@functools.cache
+def _cell_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSV formatters' lookup tables, built on first use; every entry is
+    NUL-padded. `groups` holds each k of 0..999 in four bytes (uint32): at k
+    zero-padded, at 1000 + k bare with 0 empty, at 2000 + k bare with 0 as
+    "0". `heads` holds each integer part 0..999 and its decimal point in
+    eight bytes (uint64), at 1000 + k with a minus sign. `detected` holds
+    the cells false and true in eight bytes."""
+    groups = b"".join([b"%03d\0" % k for k in range(1000)]
+                      + [(b"%d" % k if k else b"").rjust(4, b"\0") for k in range(1000)]
+                      + [(b"%d" % k).rjust(4, b"\0") for k in range(1000)])
+    heads = b"".join([(b"%d." % k).rjust(8, b"\0") for k in range(1000)]
+                     + [(b"-%d." % k).rjust(8, b"\0") for k in range(1000)])
+    return (np.frombuffer(groups, np.uint32), np.frombuffer(heads, np.uint64),
+            np.frombuffer(b"false\0\0\0true\0\0\0\0", np.uint64))
+
+
+def _joined(pieces: Sequence, count: int) -> np.ndarray:
+    """`count` records, each the bytes of every piece's cell side by side; a
+    piece is an array of `count` cells or one bytes value for every record."""
+    records = np.empty(count, [("", np.asarray(piece).dtype) for piece in pieces])
+    for name, piece in zip(records.dtype.names, pieces):
+        records[name] = piece
+    return records
+
+
+def _total_cells(values: np.ndarray) -> np.ndarray:
+    """`str` of each total, as an array of NUL-padded fixed-width bytes
+    cells: in numpy, three digits at a time, when they are non-negative
+    int64, else a total at a time."""
+    if values.dtype != np.int64 or values.min(initial=0) < 0:
+        return np.array([str(value).encode() for value in values.tolist()])
+    groups = _cell_tables()[0]
+    count = (len(str(int(values.max(initial=0)))) + 2) // 3
+    pieces = []
+    for j in range(count):
+        higher = values // 1000
+        # three digits zero-padded below a higher group; the top group bare,
+        # a zero top group empty unless it is the units
+        pieces.append(groups[values - 1000 * higher
+                             + np.where(higher > 0, 0, 1000 if j else 2000)])
+        values = higher
+    return _joined(pieces[::-1], len(values)).view(f"S{4 * count}")
+
+
+def _decimal_cells(values: np.ndarray) -> np.ndarray:
+    """`"%.6f" % v` of each float64 v, with no sign where it rounds to zero,
+    as an array of NUL-padded fixed-width bytes cells.
+
+    `%` rounds |v| * 10**6, exactly, to the nearest integer, ties to even.
+    For |v| < 999.5, whose integer part has three digits at most once
+    rounded, the product is formed exactly as p + q: `head` keeps the
+    top 39 bits of the significand, so head * 1e6 and (|v| - head) * 1e6 are
+    exact floats, and Fast2Sum gives s + t == p + q with s the rounded sum
+    and |t| at most half an ulp of s. As s < 2**52, each midpoint k + 1/2 is
+    a float, so rint(s) is the right integer unless s is a midpoint; there
+    the sign of t says which side the exact product is on, and t == 0 is a
+    tie, which rint already sent to even. The digits come from lookup tables.
+    Any other value (non-finite, or 999.5 or more) gets CPython's own text.
+    """
+    groups, heads, _ = _cell_tables()
+    x = np.abs(values)
+    small = x < 999.5
+    if not small.all():
+        x = np.where(small, x, 0.0)
+    head = (x.view(np.uint64) & np.uint64(0xFFFF_FFFF_FFFF_C000)).view(np.float64)
+    p = head * 1e6
+    q = (x - head) * 1e6
+    s = p + q
+    t = q - (s - p)
+    rounded = np.rint(s)
+    off = s - rounded
+    n = rounded.astype(np.int64)
+    n += (off == 0.5) & (t > 0)
+    n -= (off == -0.5) & (t < 0)
+    thousands = n // 1000
+    whole = thousands // 1000
+    digits = [groups[thousands - 1000 * whole], groups[n - 1000 * thousands]]
+    slow = np.flatnonzero(~small)
+    whole += (np.signbit(values) & (n > 0)) * 1000
+    whole[slow] = 0
+    cells = _joined([heads[whole], *digits], len(n)).view("S16")
+    if len(slow):
+        text = np.array([b"%.6f" % value for value in values[slow].tolist()])
+        cells = cells.astype(f"S{max(16, text.dtype.itemsize)}")
+        cells[slow] = text
+    return cells
+
+
+def _float_pieces(records: SweepTable, rows: np.ndarray, fields: Tuple[int, ...]) -> list:
+    """The pieces (see _joined) of the float columns `fields` of `records`
+    (a table of numpy columns) at `rows`, each after a comma; `fields` are
+    column numbers, lambda_max's and the angle's first. One _decimal_cells
+    call formats them all; an angle that is None gets an empty cell."""
+    columns, count = records.columns, len(rows)
+    cells = _decimal_cells(np.concatenate([columns[field][rows] for field in fields]))
+    cells[count:2 * count][~records.angle_defined[rows]] = b""
+    pieces = []
+    for start in range(0, len(cells), count):
+        pieces += [b",", cells[start:start + count]]
+    return pieces
+
+
+def _write_rows(path, header: str, count: int, block_pieces) -> None:
+    """Write `header` and `count` CSV rows to `path`, `block_pieces(rows)`
+    giving the pieces (see _joined) of the rows numbered `rows`. Rows go a
+    4,096-row block at a time, so numpy temporaries are bounded by the
+    block, and each block's NUL padding is dropped. Every block is
+    formatted before the file opens, so a bad row leaves no file."""
+    text = [header.encode() + b"\n"]
+    for start in range(0, count, _CSV_BLOCK_ROWS):
+        rows = np.arange(start, min(start + _CSV_BLOCK_ROWS, count))
+        text.append(_joined(block_pieces(rows), len(rows)).tobytes().translate(None, b"\0"))
     try:
-        with open(path, "w", newline="") as fh:
+        with open(path, "wb") as fh:
             fh.writelines(text)
     except OSError as exc:
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
@@ -332,41 +469,55 @@ def _write_blocks(path, header: str, columns: Sequence[Sequence], angle: int,
 def write_csv(records: Iterable[SweepRecord], path) -> None:
     """Write a siphon-sweep CSV; byte-identical across runs for exact mode.
 
-    A SweepTable is formatted from its columns; any other rows are first
-    made one, read once.
+    A SweepTable's numpy columns are formatted as they are; other rows, or
+    a table of columns given as they are, are first converted once. Each
+    block of rows is formatted in numpy: the totals by _total_cells, the
+    three floats by one _decimal_cells call, detected as true or false.
     """
-    table = records if isinstance(records, SweepTable) else SweepTable.of_rows(records)
-    totals, lambda_max, angles, purity, detected = table.columns
-    cells = list(map(_DETECTED_CELLS.__getitem__, map(operator.truth, detected)))
-    _write_blocks(path, SWEEP_CSV_HEADER, (totals, lambda_max, angles, purity, cells), 2,
-                  _SWEEP_ROWS)
+    table = records
+    if not (isinstance(table, SweepTable) and table.angle_defined is not None):
+        table = SweepTable.of_rows(records)
+    totals, _, _, _, detected = table.columns
+    detected_cells = _cell_tables()[2]
+
+    def block_pieces(rows):
+        return [_total_cells(totals[rows]), *_float_pieces(table, rows, (1, 2, 3)), b",",
+                detected_cells[detected[rows].view(np.uint8)], b"\n"]
+
+    _write_rows(path, SWEEP_CSV_HEADER, len(table), block_pieces)
 
 
 def write_delta_family_csv(table: Mapping[Tuple[float, float], SweepRecord], path) -> None:
     """Write a delta-family CSV, its rows sorted by gap, then by fraction.
 
-    A DeltaFamilyTable is written from its sorted axes and its rows' columns,
-    which are already in that order; the keys of any other mapping are
-    sorted and its rows made a SweepTable. Each gap and fraction is formatted
-    once.
+    A DeltaFamilyTable is written from its sorted axes and its rows' numpy
+    columns, which are already in that order, so each gap and fraction is
+    formatted once and its cell repeated. The keys of any other mapping are
+    sorted, each key column formatted once as a whole, and its rows made a
+    SweepTable by of_rows. The floats are formatted as write_csv formats
+    them.
     """
     if isinstance(table, DeltaFamilyTable):
-        deltas, fractions = sorted(table.delta_rank), sorted(table.fraction_rank)
-        fraction_cells = ["%.6f" % value for value in fractions] * len(deltas)
-        delta_cells = list(itertools.chain.from_iterable(
-            itertools.repeat("%.6f" % value, len(fractions)) for value in deltas))
+        gaps, fractions = sorted(table.delta_rank), sorted(table.fraction_rank)
         records = table.records
+
+        def key_index(rows):
+            return divmod(rows, len(fractions))
     else:
         keys = sorted(table)
-        # -0.0 and 0.0 share a cell, unsigned either way
-        cells = {value: "%.6f" % value for value in set(itertools.chain.from_iterable(keys))}
-        deltas, fractions = list(zip(*keys)) or [()] * 2
-        delta_cells = list(map(cells.__getitem__, deltas))
-        fraction_cells = list(map(cells.__getitem__, fractions))
+        gaps, fractions = list(zip(*keys)) or [()] * 2
         records = SweepTable.of_rows(map(table.__getitem__, keys))
-    _, lambda_max, angles, _, _ = records.columns
-    _write_blocks(path, DELTA_FAMILY_CSV_HEADER, (delta_cells, fraction_cells, lambda_max, angles),
-                  3, _DELTA_FAMILY_ROWS)
+
+        def key_index(rows):
+            return rows, rows
+    gap_cells, fraction_cells = (_decimal_cells(_float_column(axis)) for axis in (gaps, fractions))
+
+    def block_pieces(rows):
+        gap, fraction = key_index(rows)
+        return [gap_cells[gap], b",", fraction_cells[fraction],
+                *_float_pieces(records, rows, (1, 2)), b"\n"]
+
+    _write_rows(path, DELTA_FAMILY_CSV_HEADER, len(records), block_pieces)
 
 
 # Figure presets, each the (theta, phi) of Alice's and Eve's angles: each

@@ -410,7 +410,7 @@ class TestSweepCommand:
         assert manifest[manifest.index("run."):manifest.index("numpy_version=")] == (
             "run.theta_deg=22.5\nrun.phi_deg=30.0\nrun.bob_bit=0\nrun.n_photons=100\n"
             "run.siphon_totals=0,10,20,30,40,50\nrun.siphon_split=even-across-two-stages\n"
-            "run.mode=exact\nrun.seed=0\nrng_algorithm=numpy-pcg64\n"
+            "run.mode=exact\nrng_algorithm=numpy-pcg64\n"
         )
         assert list(tmp_path.glob("*.meta.*")) == []
 
@@ -775,11 +775,13 @@ META_LINES = [
 @pytest.mark.parametrize("argv, meta", META_LINES)
 def test_manifest_holds_every_meta_line(capsys, tmp_path, argv, meta):
     # each line as `run.<line>`, in the same order, but rng_algorithm, which
-    # the manifest already records as a line of its own
+    # the manifest already records as a line of its own, and an exact sweep's
+    # seed, which exact mode does not read
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0
     lines = (tmp_path / "manifest.txt").read_text().splitlines()
-    assert [line for line in lines if line.startswith("run.")] == ["run." + m for m in meta[:-1]]
+    read = [m for m in meta[:-1] if not ("mode=exact" in meta and m.startswith("seed="))]
+    assert [line for line in lines if line.startswith("run.")] == ["run." + m for m in read]
     assert meta[-1] in lines
     assert list(tmp_path.glob("*.meta.*")) == []
 

@@ -21,6 +21,7 @@ from polarsim.sweeps import (
     SWEEP_CSV_HEADER,
     DeltaFamilyTable,
     SweepTable,
+    _decimal_cells,
     _exact_records,
     write_delta_family_csv,
 )
@@ -440,6 +441,20 @@ class TestCsvOutput:
         ps.write_csv([ps.SweepRecord(0, -1e-9, -0.0, -0.0, False)], path)
         assert path.read_text().splitlines()[1] == "0,0.000000,0.000000,0.000000,false"
 
+    # sha256 of this sweep's CSV, recorded before the writers formatted cells in numpy
+    HUGE_TOTALS_CSV_SHA256 = "55918aa658177e6b0e07e547df26f0d6f6afc468f60f8e65d80f9440bfad566d"
+
+    def test_totals_beyond_float_precision_print_exactly(self, tmp_path):
+        # totals straddling 2**53 at the int64 limit: a float would round
+        # 2**54 + 2 and INT64_MAX - 1
+        totals = (0, 2**53 - 2, 2**53 + 2, 2**54 + 2, INT64_MAX - 1)
+        spec = ps.SweepSpec(30, 45, n_photons=INT64_MAX, siphon_totals=totals)
+        path = tmp_path / "huge.csv"
+        ps.write_csv(ps.sweep_siphon(spec), path)
+        lines = path.read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == list(map(str, totals))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.HUGE_TOTALS_CSV_SHA256
+
     def test_unwritable_path_reports_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
             ps.write_csv([], tmp_path / "no" / "such" / "dir.csv")
@@ -570,6 +585,88 @@ class TestCsvWriterMatchesPerRowRendering:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cell", [None, "0.5", b"1", 10**400, 1j, [0.5]],
+                         ids=["none", "str", "bytes", "huge-int", "complex", "list"])
+@pytest.mark.parametrize("field", ["lambda_max", "peak_angle_deg", "purity"])
+def test_a_cell_that_percent_refuses_is_refused_alike(tmp_path, field, cell):
+    # the writers convert float cells by array('d'), which refuses what
+    # "%.6f" refuses with the same exception; a None angle is an empty cell
+    path = tmp_path / "sweep.csv"
+    rows = random_records(3, 1)
+    rows[1] = rows[1]._replace(**{field: cell})
+    if cell is None and field == "peak_angle_deg":
+        ps.write_csv(rows, path)
+        assert path.read_bytes() == reference_csv(rows).encode()
+        return
+    with pytest.raises(Exception) as percent:
+        "%.6f" % (cell,)
+    with pytest.raises(percent.type):
+        ps.write_csv(rows, path)
+    with pytest.raises(percent.type):
+        write_delta_family_csv(dict(zip(random_table(3, 1), rows)), path)
+    assert not path.exists()
+
+
+def _decimal_texts(values):
+    """_decimal_cells' cells of `values` as text, their NUL padding dropped."""
+    cells = _decimal_cells(np.array(values, dtype=np.float64))
+    return [cell.replace(b"\0", b"").decode() for cell in cells.tolist()]
+
+
+def _nudged(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# a value near a six-decimal midpoint (k + 1/2) / 10**6, a few ulps either
+# side, signed; the product x * 10**6 in floats can land on the other side
+near_midpoints = st.builds(
+    lambda k, steps, sign: sign * _nudged((k + 0.5) / 1e6, steps),
+    st.integers(0, 10**9), st.integers(-3, 3), st.sampled_from([1.0, -1.0]))
+
+
+class TestDecimalCells:
+    """The writers' one float formatter prints "%.6f" with no sign on a
+    rounded zero: _fmt's text, correctly rounded with ties to even."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats() | near_midpoints, min_size=1, max_size=40))
+    def test_matches_percent_formatting(self, values):
+        assert _decimal_texts(values) == list(map(_fmt, values))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 499, 999_999, 1_000_000, 123_456_789,
+                                   999_999_999, 999_999_999_499])
+    def test_decimal_midpoints_and_neighbours(self, k):
+        mid = (k + 0.5) / 1e6
+        values = [mid, math.nextafter(mid, 0.0), math.nextafter(mid, math.inf)]
+        values += [-value for value in values]
+        assert _decimal_texts(values) == list(map(_fmt, values))
+
+    def test_dyadic_ties_go_to_even(self):
+        # k / 2**m with m >= 7 can be an exact tie at the sixth decimal
+        values = [k / 2.0**m for m in range(1, 40) for k in range(1, 200, 3)]
+        values += [-value for value in values]
+        assert _decimal_texts(values) == list(map(_fmt, values))
+        assert _decimal_texts([0.0078125, 0.0234375, -0.0078125]) == [
+            "0.007812", "0.023438", "-0.007812"]
+
+    def test_zeros_subnormals_and_specials(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 4.9e-7, -4.9e-7,
+                  5e-7, -5e-7, math.nan, -math.nan, math.inf, -math.inf, 999.4999999, 999.5,
+                  999.9999994999, 999.9999995, -999.9999995, 1000.0, 2.0**53, -1e15, 1e300,
+                  -1e300, np.finfo(np.float64).max]
+        texts = _decimal_texts(values)
+        assert texts == list(map(_fmt, values))
+        assert texts[:2] == ["0.000000", "0.000000"] and texts[10:14] == [
+            "nan", "nan", "inf", "-inf"]
+
+    def test_a_long_cell_among_short_ones(self):
+        # a value of CPython's text widens every cell; the others keep theirs
+        values = [0.25, 1e300, -7.5, math.nan, 180.0]
+        assert _decimal_texts(values) == list(map(_fmt, values))
+
+
 def test_delta_family_key_values_that_share_a_cell(tmp_path):
     # the writer formats each distinct gap and fraction value once, so
     # values equal as keys share one cell: -0.0 and 0.0, 0.5 as a float
@@ -658,9 +755,16 @@ class TestSweepTable:
             del table[0]
         assert not hasattr(table, "append")
 
-    def test_exact_columns_are_python_lists(self):
-        table = _swept_table("exact", 6)
-        assert all(type(column) is list for column in table.columns)
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_columns_are_numpy_arrays(self, mode):
+        # exact mode keeps the kernel's arrays, sampled mode converts its
+        # rows once; a None angle is NaN under a False angle_defined
+        table = _swept_table(mode, 6)
+        assert [column.dtype for column in table.columns] == [
+            np.int64, np.float64, np.float64, np.float64, np.bool_]
+        assert table.angle_defined.dtype == np.bool_
+        assert np.array_equal(np.isnan(table.columns[2]), ~table.angle_defined)
+        assert table.angle_defined.tolist() == [True] * 5 + [mode == "sampled"]
 
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
@@ -719,7 +823,9 @@ class TestDeltaFamilyTable:
     def test_rows_are_built_when_read(self):
         table = ps.sweep_delta_family(self.DELTAS, 30.0, self.FRACTIONS)
         assert type(table.records) is SweepTable
-        assert all(type(column) is list for column in table.records.columns)
+        assert [column.dtype for column in table.records.columns] == [
+            np.int64, np.float64, np.float64, np.float64, np.bool_]
+        assert table.records.angle_defined.all()
 
     def test_lookup_by_an_equal_key_of_another_type(self):
         table = ps.sweep_delta_family((15.0, 30), 30.0, (0.0, 0.25))
