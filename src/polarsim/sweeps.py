@@ -108,82 +108,91 @@ class SweepRecord(NamedTuple):
 
 
 class SweepTable(Sequence):
-    """Read-only SweepRecord rows kept as five columns, one per field.
+    """Read-only SweepRecord rows kept as five numpy columns, one per field.
 
-    A table from the kernel or from of_rows keeps numpy columns: siphon
-    totals as int64 (from of_rows, as objects when one is not an int within
-    int64), lambda_max, peak angle and purity as float64 and detected as
-    bool, with `angle_defined`, the bool mask of the rows whose peak angle is
-    not None (a None angle is held as NaN). Columns given without that mask
-    are kept and read as given, and write_csv converts their rows by
-    of_rows.
+    Siphon totals are int64 (as objects when one is not an int within
+    int64), lambda_max, peak angle and purity float64 and detected bool;
+    `angle_defined` is the bool mask of the rows whose peak angle is not
+    None, which is held as NaN. Columns given without that mask, as of_rows
+    gives them, are converted once: a float cell that `%.6f` would refuse
+    (a string, an int beyond float) raises as `%` does.
 
-    A row is built only when it is read, with Python values (an int, floats,
-    None or a float, a bool); a slice is a table of the sliced columns.
-    write_csv formats the columns without building rows.
+    A row is read with Python values (an int, floats, None or a float, a
+    bool), from lists the first read builds once; a slice is a table of the
+    sliced columns. write_csv formats the columns without building rows.
     """
 
-    __slots__ = ("columns", "angle_defined")
+    __slots__ = ("columns", "angle_defined", "_values")
 
     def __init__(self, siphon_total: Sequence, lambda_max: Sequence,
                  peak_angle_deg: Sequence, purity: Sequence, detected: Sequence,
                  angle_defined: Optional[np.ndarray] = None) -> None:
+        if angle_defined is None:
+            siphon_total = _total_column(siphon_total)
+            lambda_max, purity = _float_column(lambda_max), _float_column(purity)
+            peak_angle_deg, angle_defined = _angle_column(peak_angle_deg)
+            detected = np.fromiter(map(operator.truth, detected), bool)
         self.columns = (siphon_total, lambda_max, peak_angle_deg, purity, detected)
         self.angle_defined = angle_defined
+        self._values = None
 
     @classmethod
     def of_rows(cls, rows: Iterable) -> "SweepTable":
-        """The numpy table of `rows`, each five cells in SweepRecord's field
-        order; an iterator is read once. A float cell that `%.6f` would
-        refuse (None, a string, an int beyond float) raises as `%` does, as
-        array('d') converts by the same rule."""
-        totals, lambda_max, angles, purity, detected = list(zip(*rows, strict=True)) or [()] * 5
-        n = len(totals)
-        column = None
-        if operator.countOf(map(type, totals), int) == n:
-            try:
-                column = np.fromiter(totals, np.int64, n)
-            except OverflowError:
-                pass
-        if column is None:  # each written as `%s` writes it
-            column = np.fromiter(totals, object, n)
-        defined = np.array([angle is not None for angle in angles], bool)
-        angles = [math.nan if angle is None else angle for angle in angles]
-        return cls(column, _float_column(lambda_max), _float_column(angles),
-                   _float_column(purity), np.fromiter(map(operator.truth, detected), bool),
-                   defined)
+        """The table of `rows`, each five cells in SweepRecord's field order;
+        an iterator is read once."""
+        return cls(*(list(zip(*rows, strict=True)) or [()] * 5))
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
+    def _lists(self) -> list:
+        """The columns as lists of Python values, None for an undefined
+        angle; built on the first read of a row."""
+        if self._values is None:
+            values = [column.tolist() for column in self.columns]
+            for i in np.flatnonzero(~self.angle_defined).tolist():
+                values[2][i] = None
+            self._values = values
+        return self._values
+
     def __getitem__(self, index):
-        columns, defined = self.columns, self.angle_defined
         if isinstance(index, slice):
-            return SweepTable(*[column[index] for column in columns],
-                              None if defined is None else defined[index])
-        if defined is None:
-            return tuple.__new__(SweepRecord, [column[index] for column in columns])
-        row = [column.item(index) for column in columns]
-        if not defined.item(index):
-            row[2] = None
-        return tuple.__new__(SweepRecord, row)
+            return SweepTable(*[column[index] for column in self.columns],
+                              self.angle_defined[index])
+        values = self._values or self._lists()  # no call once the lists are built
+        return tuple.__new__(SweepRecord, [column[index] for column in values])
 
     def __iter__(self) -> Iterator[SweepRecord]:
-        columns = self.columns
-        if self.angle_defined is not None:
-            columns = [column.tolist() for column in columns]
-            for i in np.flatnonzero(~self.angle_defined).tolist():
-                columns[2][i] = None
         # tuple.__new__ builds each row in C; SweepRecord's own __new__ is a
         # Python function, one frame per row
-        return map(tuple.__new__, itertools.repeat(SweepRecord), zip(*columns))
+        return map(tuple.__new__, itertools.repeat(SweepRecord), zip(*self._lists()))
+
+
+def _total_column(cells: Sequence) -> np.ndarray:
+    """`cells` as int64 when each is an int within int64, else as objects,
+    each written as `%s` writes it."""
+    if operator.countOf(map(type, cells), int) == len(cells):
+        try:
+            return np.fromiter(cells, np.int64, len(cells))
+        except OverflowError:
+            pass
+    return np.fromiter(cells, object, len(cells))
 
 
 def _float_column(cells: Iterable) -> np.ndarray:
-    """`cells` as a float64 array, each refused as `%.6f` refuses it."""
+    """`cells` as a float64 array, each refused as `%.6f` refuses it: by
+    array('d'), which converts by the same rule (np.asarray would turn None
+    into NaN)."""
     from array import array  # an extension module, so not at `import polarsim`
 
     return np.asarray(array("d", cells))
+
+
+def _angle_column(cells: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """`cells`, peak angles, as a float64 column with NaN for None, and the
+    mask of the cells that are not None."""
+    defined = np.array([cell is not None for cell in cells], bool)
+    return _float_column(math.nan if cell is None else cell for cell in cells), defined
 
 
 def _point_seed(base_seed: int, siphon_total: int) -> int:
@@ -435,14 +444,15 @@ def _decimal_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _float_pieces(records: SweepTable, rows: np.ndarray, fields: Tuple[int, ...]) -> list:
-    """The pieces (see _joined) of the float columns `fields` of `records`
-    (a table of numpy columns) at `rows`, each after a comma; `fields` are
-    column numbers, lambda_max's and the angle's first. One _decimal_cells
-    call formats them all; an angle that is None gets an empty cell."""
-    columns, count = records.columns, len(rows)
-    cells = _decimal_cells(np.concatenate([columns[field][rows] for field in fields]))
-    cells[count:2 * count][~records.angle_defined[rows]] = b""
+def _float_pieces(columns: Sequence[np.ndarray], angle_defined: np.ndarray,
+                  rows: np.ndarray) -> list:
+    """The pieces (see _joined) of the float64 `columns` at `rows`, each
+    after a comma; the second column is the angle, whose cell is empty
+    where `angle_defined` is false. One _decimal_cells call formats them
+    all."""
+    count = len(rows)
+    cells = _decimal_cells(np.concatenate([column[rows] for column in columns]))
+    cells[count:2 * count][~angle_defined[rows]] = b""
     pieces = []
     for start in range(0, len(cells), count):
         pieces += [b",", cells[start:start + count]]
@@ -469,19 +479,18 @@ def _write_rows(path, header: str, count: int, block_pieces) -> None:
 def write_csv(records: Iterable[SweepRecord], path) -> None:
     """Write a siphon-sweep CSV; byte-identical across runs for exact mode.
 
-    A SweepTable's numpy columns are formatted as they are; other rows, or
-    a table of columns given as they are, are first converted once. Each
-    block of rows is formatted in numpy: the totals by _total_cells, the
-    three floats by one _decimal_cells call, detected as true or false.
+    A SweepTable's numpy columns are formatted as they are; other rows are
+    first made one by of_rows. Each block of rows is formatted in numpy: the
+    totals by _total_cells, the three floats by one _decimal_cells call,
+    detected as true or false.
     """
-    table = records
-    if not (isinstance(table, SweepTable) and table.angle_defined is not None):
-        table = SweepTable.of_rows(records)
-    totals, _, _, _, detected = table.columns
+    table = records if isinstance(records, SweepTable) else SweepTable.of_rows(records)
+    totals, lambda_max, angles, purity, detected = table.columns
     detected_cells = _cell_tables()[2]
 
     def block_pieces(rows):
-        return [_total_cells(totals[rows]), *_float_pieces(table, rows, (1, 2, 3)), b",",
+        return [_total_cells(totals[rows]),
+                *_float_pieces((lambda_max, angles, purity), table.angle_defined, rows), b",",
                 detected_cells[detected[rows].view(np.uint8)], b"\n"]
 
     _write_rows(path, SWEEP_CSV_HEADER, len(table), block_pieces)
@@ -493,20 +502,25 @@ def write_delta_family_csv(table: Mapping[Tuple[float, float], SweepRecord], pat
     A DeltaFamilyTable is written from its sorted axes and its rows' numpy
     columns, which are already in that order, so each gap and fraction is
     formatted once and its cell repeated. The keys of any other mapping are
-    sorted, each key column formatted once as a whole, and its rows made a
-    SweepTable by of_rows. The floats are formatted as write_csv formats
+    sorted and each key column formatted once as a whole; of its rows only
+    the two columns written, lambda_max and the angle, are converted, as
+    SweepTable converts them. The floats are formatted as write_csv formats
     them.
     """
     if isinstance(table, DeltaFamilyTable):
         gaps, fractions = sorted(table.delta_rank), sorted(table.fraction_rank)
-        records = table.records
+        _, lambda_max, angles, _, _ = table.records.columns
+        angle_defined = table.records.angle_defined
 
         def key_index(rows):
             return divmod(rows, len(fractions))
     else:
         keys = sorted(table)
         gaps, fractions = list(zip(*keys)) or [()] * 2
-        records = SweepTable.of_rows(map(table.__getitem__, keys))
+        records = map(table.__getitem__, keys)
+        _, lambda_max, angles, _, _ = list(zip(*records, strict=True)) or [()] * 5
+        lambda_max = _float_column(lambda_max)
+        angles, angle_defined = _angle_column(angles)
 
         def key_index(rows):
             return rows, rows
@@ -515,9 +529,9 @@ def write_delta_family_csv(table: Mapping[Tuple[float, float], SweepRecord], pat
     def block_pieces(rows):
         gap, fraction = key_index(rows)
         return [gap_cells[gap], b",", fraction_cells[fraction],
-                *_float_pieces(records, rows, (1, 2)), b"\n"]
+                *_float_pieces((lambda_max, angles), angle_defined, rows), b"\n"]
 
-    _write_rows(path, DELTA_FAMILY_CSV_HEADER, len(records), block_pieces)
+    _write_rows(path, DELTA_FAMILY_CSV_HEADER, len(lambda_max), block_pieces)
 
 
 # Figure presets, each the (theta, phi) of Alice's and Eve's angles: each

@@ -602,8 +602,14 @@ def test_a_cell_that_percent_refuses_is_refused_alike(tmp_path, field, cell):
         "%.6f" % (cell,)
     with pytest.raises(percent.type):
         ps.write_csv(rows, path)
+    assert not path.exists()
+    family = dict(zip(random_table(3, 1), rows))
+    if field == "purity":  # a delta-family CSV has no purity column to convert
+        write_delta_family_csv(family, path)
+        assert path.read_bytes() == reference_delta_family_csv(family).encode()
+        return
     with pytest.raises(percent.type):
-        write_delta_family_csv(dict(zip(random_table(3, 1), rows)), path)
+        write_delta_family_csv(family, path)
     assert not path.exists()
 
 
@@ -766,16 +772,33 @@ class TestSweepTable:
         assert np.array_equal(np.isnan(table.columns[2]), ~table.angle_defined)
         assert table.angle_defined.tolist() == [True] * 5 + [mode == "sampled"]
 
+    def test_columns_given_without_a_mask_are_converted(self, tmp_path):
+        # lists with a None angle, as the rows hold them, become the numpy
+        # columns and mask the kernel gives, and read back as they were
+        table = _swept_table("exact", 6)
+        rows = list(table)
+        given = SweepTable(*map(list, zip(*rows)))
+        assert [column.dtype for column in given.columns] == [
+            column.dtype for column in table.columns]
+        assert np.array_equal(given.angle_defined, table.angle_defined)
+        assert list(given) == rows and given[-1] == rows[-1]
+        for row in given:
+            _assert_row_types(row)
+        path = tmp_path / "given.csv"
+        ps.write_csv(given, path)
+        assert path.read_bytes() == reference_csv(rows).encode()
+
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_csv_from_columns_equals_csv_from_rows(self, tmp_path, mode, n):
         table = _swept_table(mode, n)
-        totals, lambda_max, angles, purity, detected = table.columns
-        if None not in angles:  # a sampled state is never exactly degenerate
-            angles = list(angles)
-            angles[n // 2] = None
-            table = SweepTable(totals, lambda_max, angles, purity, detected)
-        assert len(table) == n and None in table.columns[2]
+        if table.angle_defined.all():  # a sampled state is never exactly degenerate
+            totals, lambda_max, angles, purity, detected = table.columns
+            angles, defined = angles.copy(), table.angle_defined.copy()
+            angles[n // 2], defined[n // 2] = math.nan, False
+            table = SweepTable(totals, lambda_max, angles, purity, detected, defined)
+        assert len(table) == n and not table.angle_defined.all()
+        assert table.columns[2].dtype == np.float64
         from_table, from_rows = tmp_path / "table.csv", tmp_path / "rows.csv"
         ps.write_csv(table, from_table)
         ps.write_csv(list(table), from_rows)
