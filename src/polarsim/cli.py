@@ -294,9 +294,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run = {"theta_deg": spec.theta_deg, "phi_deg": spec.phi_deg, "bob_bit": spec.bob_bit,
                "n_photons": spec.n_photons, "siphon_totals": totals_text,
                "siphon_split": "even-across-two-stages", "mode": spec.mode}
-        if spec.mode == "sampled":  # exact mode reads neither
-            run.update(seed=spec.seed,
-                       photons_per_basis=spec.config.tomography.photons_per_basis)
+        if spec.mode == "sampled":  # exact mode reads neither; a sweep has one tomography size
+            run.update(seed=spec.seed, photons_per_basis=DEFAULTS["photons_per_basis"])
         points = "" if args.preset is None else f" {len(records)} points"
         print(f"sweep {name}: theta={spec.theta_deg} phi={spec.phi_deg}{points} -> {csv_path}")
 

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 from typing import Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
@@ -46,7 +46,7 @@ DEFAULT_FRACTIONS = tuple(round(0.05 * i, 2) for i in range(11))  # 0.0 .. 0.5
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A base transmission, `config`, run once per siphon total."""
+    """A base transmission, run once per siphon total (see point)."""
 
     theta_deg: float
     phi_deg: float
@@ -55,14 +55,11 @@ class SweepSpec:
     siphon_totals: Tuple[int, ...] = ()
     mode: str = "exact"
     seed: int = 0
-    config: ProtocolConfig = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        config = ProtocolConfig(
-            self.n_photons, self.theta_deg, self.bob_bit, EveConfig(0, 0, self.phi_deg),
-            self.mode, TomographyConfig(seed=self.seed),
-        )
-        self.__dict__.update(config=config, theta_deg=config.alice_angle_deg,
+        # the point without Eve checks every other field and gives their canonical values
+        config = self.point(0, self.seed)
+        self.__dict__.update(theta_deg=config.alice_angle_deg,
                              phi_deg=config.eve.injection_angle_deg,
                              n_photons=config.n_photons, seed=config.tomography.seed)
         if self.n_photons > INT64_MAX:
@@ -98,6 +95,12 @@ class SweepSpec:
             raise ValueError("siphon totals must be strictly increasing")
         object.__setattr__(self, "siphon_totals", totals)
 
+    def point(self, total: int, seed: int) -> ProtocolConfig:
+        """The run at siphon total `total`, halved across the stages, seeded `seed`."""
+        eve = EveConfig(total // 2, total // 2, self.phi_deg, total > 0)
+        return ProtocolConfig(self.n_photons, self.theta_deg, self.bob_bit, eve, self.mode,
+                              TomographyConfig(seed=seed))
+
 
 class SweepRecord(NamedTuple):
     siphon_total: int
@@ -113,9 +116,9 @@ class SweepTable(Sequence):
     Siphon totals are int64 (as objects when one is not an int within
     int64), lambda_max, peak angle and purity float64 and detected bool;
     `angle_defined` is the bool mask of the rows whose peak angle is not
-    None, which is held as NaN. Columns given without that mask, as of_rows
-    gives them, are converted once: a float cell that `%.6f` would refuse
-    (a string, an int beyond float) raises as `%` does.
+    None, which is held as NaN. The constructor takes the columns and mask
+    as they are; of_rows converts rows to them once: a float cell that
+    `%.6f` would refuse (a string, an int beyond float) raises as `%` does.
 
     A row is read with Python values (an int, floats, None or a float, a
     bool), from lists the first read builds once; a slice is a table of the
@@ -124,14 +127,9 @@ class SweepTable(Sequence):
 
     __slots__ = ("columns", "angle_defined", "_values")
 
-    def __init__(self, siphon_total: Sequence, lambda_max: Sequence,
-                 peak_angle_deg: Sequence, purity: Sequence, detected: Sequence,
-                 angle_defined: Optional[np.ndarray] = None) -> None:
-        if angle_defined is None:
-            siphon_total = _total_column(siphon_total)
-            lambda_max, purity = _float_column(lambda_max), _float_column(purity)
-            peak_angle_deg, angle_defined = _angle_column(peak_angle_deg)
-            detected = np.fromiter(map(operator.truth, detected), bool)
+    def __init__(self, siphon_total: np.ndarray, lambda_max: np.ndarray,
+                 peak_angle_deg: np.ndarray, purity: np.ndarray, detected: np.ndarray,
+                 angle_defined: np.ndarray) -> None:
         self.columns = (siphon_total, lambda_max, peak_angle_deg, purity, detected)
         self.angle_defined = angle_defined
         self._values = None
@@ -140,7 +138,11 @@ class SweepTable(Sequence):
     def of_rows(cls, rows: Iterable) -> "SweepTable":
         """The table of `rows`, each five cells in SweepRecord's field order;
         an iterator is read once."""
-        return cls(*(list(zip(*rows, strict=True)) or [()] * 5))
+        totals, lambda_max, angles, purity, detected = list(zip(*rows, strict=True)) or [()] * 5
+        lambda_max, purity = _float_column(lambda_max), _float_column(purity)
+        angles, angle_defined = _angle_column(angles)
+        return cls(_total_column(totals), lambda_max, angles, purity,
+                   np.fromiter(map(operator.truth, detected), bool), angle_defined)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -202,14 +204,7 @@ def _point_seed(base_seed: int, siphon_total: int) -> int:
 
 
 def _sampled_point(spec: SweepSpec, total: int) -> SweepRecord:
-    base = spec.config
-    half = total // 2
-    config = replace(
-        base,
-        eve=replace(base.eve, siphon_stage1=half, siphon_stage2=half, enabled=total > 0),
-        tomography=replace(base.tomography, seed=_point_seed(spec.seed, total)),
-    )
-    outcome = run_protocol(config)
+    outcome = run_protocol(spec.point(total, _point_seed(spec.seed, total)))
     spectrum = outcome.spectrum
     return SweepRecord(total, spectrum.lambda_max, spectrum.principal_angle_deg,
                        outcome.purity_received, outcome.decision is Decision.EVE_DETECTED)
@@ -500,35 +495,30 @@ def write_delta_family_csv(table: Mapping[Tuple[float, float], SweepRecord], pat
     """Write a delta-family CSV, its rows sorted by gap, then by fraction.
 
     A DeltaFamilyTable is written from its sorted axes and its rows' numpy
-    columns, which are already in that order, so each gap and fraction is
-    formatted once and its cell repeated. The keys of any other mapping are
-    sorted and each key column formatted once as a whole; of its rows only
-    the two columns written, lambda_max and the angle, are converted, as
-    SweepTable converts them. The floats are formatted as write_csv formats
-    them.
+    columns, which are already in that order: each gap and fraction is
+    formatted once, and its cell repeated over its rows. The keys of any
+    other mapping are sorted and each key column formatted as a whole; of
+    its rows only the two columns written, lambda_max and the angle, are
+    converted, as of_rows converts them. The floats are formatted as
+    write_csv formats them.
     """
     if isinstance(table, DeltaFamilyTable):
-        gaps, fractions = sorted(table.delta_rank), sorted(table.fraction_rank)
+        gaps, fractions = (_decimal_cells(_float_column(sorted(axis)))
+                           for axis in (table.delta_rank, table.fraction_rank))
+        gap_cells, fraction_cells = np.repeat(gaps, len(fractions)), np.tile(fractions, len(gaps))
         _, lambda_max, angles, _, _ = table.records.columns
         angle_defined = table.records.angle_defined
-
-        def key_index(rows):
-            return divmod(rows, len(fractions))
     else:
         keys = sorted(table)
-        gaps, fractions = list(zip(*keys)) or [()] * 2
         records = map(table.__getitem__, keys)
         _, lambda_max, angles, _, _ = list(zip(*records, strict=True)) or [()] * 5
         lambda_max = _float_column(lambda_max)
         angles, angle_defined = _angle_column(angles)
-
-        def key_index(rows):
-            return rows, rows
-    gap_cells, fraction_cells = (_decimal_cells(_float_column(axis)) for axis in (gaps, fractions))
+        gap_cells, fraction_cells = (_decimal_cells(_float_column(axis))
+                                     for axis in (list(zip(*keys)) or [()] * 2))
 
     def block_pieces(rows):
-        gap, fraction = key_index(rows)
-        return [gap_cells[gap], b",", fraction_cells[fraction],
+        return [gap_cells[rows], b",", fraction_cells[rows],
                 *_float_pieces((lambda_max, angles), angle_defined, rows), b"\n"]
 
     _write_rows(path, DELTA_FAMILY_CSV_HEADER, len(lambda_max), block_pieces)

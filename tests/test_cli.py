@@ -1,8 +1,11 @@
 import contextlib
 import hashlib
 import io
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -792,3 +795,68 @@ def test_manifest_records_numpy_and_python_versions(capsys, tmp_path, argv, csv_
     fields = dict(line.split("=", 1) for line in manifest.read_text().splitlines())
     assert fields["numpy_version"] == np.__version__
     assert fields["python_version"] == "%d.%d.%d" % sys.version_info[:3]
+
+
+# the README commands whose output bytes the CI workflow pins through the
+# installed entry point (but delta_family.csv, which DELTA_FAMILY_CSV_SHA256
+# pins), with the workflow's digests: each entry is the workflow's file name,
+# the command and the sha256 of that file, which is the command's stdout for
+# a .txt name (the workflow redirects stdout there) and otherwise a file the
+# command writes
+README_COMMAND_SHA256 = [
+    ("protocol.txt", "protocol --theta 30 --bit 0 --photons 100 --eve-siphon1 10 --eve-siphon2 10 "
+     "--eve-angle 45 --mode exact --out run.csv",
+     "67db9151ea75e9eca133a93e815d6a3ee14b3ec04e3e993836354ae9848b17b0"),
+    ("run.csv", "protocol --theta 30 --bit 0 --photons 100 --eve-siphon1 10 --eve-siphon2 10 "
+     "--eve-angle 45 --mode exact --out run.csv",
+     "e9451d29371fc242e3b49e4ec31b1f15e8ebca6f6896f5f3f794b60949dadf8b"),
+    ("sampled-run.txt", "protocol --theta 30 --bit 1 --photons 1000 --eve-siphon1 50 "
+     "--eve-angle 45 --mode sampled --seed 11 --out sampled-run.csv",
+     "1fab97c5ec32e53351c6703331e92c67f0d1a5751506d2b49bc3ebb1f81647ec"),
+    ("sampled-run.csv", "protocol --theta 30 --bit 1 --photons 1000 --eve-siphon1 50 "
+     "--eve-angle 45 --mode sampled --seed 11 --out sampled-run.csv",
+     "e4070541076231dd45983227377f500db504bb8d3e54ea41663911badd4e88eb"),
+    ("sampled-custom/custom.csv", "sweep --theta 30 --phi 45 --totals 0,2,10,20,30,40 --bit 1 "
+     "--mode sampled --seed 5 --out sampled-custom/",
+     "7987df54284dc5e7de10e8e15e67bab9177f4f436052f2c3ceb81815b1e112c1"),
+    ("out/custom/custom.csv", "sweep --theta 30 --phi 45 --totals 0,10,20,30 --out out/custom/",
+     "9d9aba1c5f98d6d9ef99b8ddf33759e2ce6be79884ce5b9af1e41d210c6fe1ae"),
+    ("big/custom.csv", "sweep --theta 30 --phi 45 --totals "
+     + ",".join(map(str, range(0, 10_001, 2))) + " --bit 1 --photons 10000 --out big/",
+     "9345812496611a643e27d19f141abffc95cd52cd11de8c345e284b476035c794"),
+    ("int64/custom.csv", "sweep --theta 30 --phi 45 --totals "
+     "0,9007199254740994,9223372036854775806 --photons 9223372036854775807 --out int64/",
+     "670e359a24fc53b71b9e2f58f0c51eff89c859cdef057f0c4d8aab6f8980f2f9"),
+    ("mix.txt", "tomography --mix 80@30,20@45 --photons-per-basis 1000000 --seed 7",
+     "afce4115cc633d67f789237e232f8addb3a850cf94800d0f1f3519c9c6de031b"),
+    ("negzero/custom.csv", "sweep --theta -0 --phi 180 --totals 0,2 --photons 10 --out negzero/",
+     "03a875c816d8d775ec87859078294701c6e9581046480b1231312b205230a56c"),
+    ("sampled/fig4.csv", "sweep --preset fig4 --mode sampled --seed 3 --out sampled/",
+     "6c80b038b32036c68f3cbe4903fa1e1709dcd575f384da4877490d07f2f818a6"),
+]
+
+
+@pytest.mark.parametrize("name, command, digest", README_COMMAND_SHA256,
+                         ids=[name for name, _, _ in README_COMMAND_SHA256])
+def test_readme_command_bytes(capsys, tmp_path, monkeypatch, name, command, digest):
+    # in a fresh directory, so the workflow's relative --out paths serve as they are
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    data = out.encode() if name.endswith(".txt") else (tmp_path / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_import_loads_only_the_package_modules():
+    # start-up work: `import polarsim`, in a fresh interpreter, loads its four
+    # modules and no other of the package, and not `array`, which the sweep
+    # writers import on first use
+    src = str(Path(ps.__file__).resolve().parents[1])
+    script = ("import sys, polarsim; print(sorted(m for m in sys.modules "
+              "if m.split('.')[0] == 'polarsim')); print('array' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.splitlines() == [
+        "['polarsim', 'polarsim.polarization', 'polarsim.protocol', 'polarsim.sweeps', "
+        "'polarsim.tomography']", "False"]

@@ -1,4 +1,5 @@
 import collections.abc
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -26,6 +27,8 @@ from polarsim.sweeps import (
     write_delta_family_csv,
 )
 from polarsim.polarization import linear_stokes
+from polarsim.protocol import EveConfig, ProtocolConfig
+from polarsim.tomography import TomographyConfig
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -120,6 +123,33 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"even integers, got {INT64_MAX}$"):
             ps.SweepSpec(theta_deg=30, phi_deg=45, n_photons=INT64_MAX,
                          siphon_totals=(0, INT64_MAX))
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=st.floats(-720.0, 720.0) | st.integers(-720, 720),
+           phi=st.floats(-720.0, 720.0) | st.integers(-720, 720),
+           bit=st.sampled_from([0, 1]), n=st.integers(1, INT64_MAX), share=st.floats(0.0, 1.0),
+           mode=st.sampled_from(["exact", "sampled"]), seed=st.integers(0, 2**70),
+           point_seed=st.integers(0, 2**32 - 1))
+    def test_point_is_the_base_config_with_its_siphons_and_seed(
+            self, theta, phi, bit, n, share, mode, seed, point_seed):
+        total = min(2 * round(share * n / 2), n - n % 2)
+        spec = ps.SweepSpec(theta, phi, bit, n, (total,), mode, seed)
+        # the base config as 0.8.0's SweepSpec.__post_init__ built it, and a
+        # point as its _sampled_point derived one from it
+        base = ProtocolConfig(n, theta, bit, EveConfig(0, 0, phi), mode,
+                              TomographyConfig(seed=seed))
+        expected = dataclasses.replace(
+            base,
+            eve=dataclasses.replace(base.eve, siphon_stage1=total // 2, siphon_stage2=total // 2,
+                                    enabled=total > 0),
+            tomography=dataclasses.replace(base.tomography, seed=point_seed),
+        )
+        point = spec.point(total, point_seed)
+        assert point == expected and repr(point) == repr(expected)
+        assert spec.point(0, spec.seed) == base and repr(spec.point(0, spec.seed)) == repr(base)
+
+    def test_spec_holds_no_config(self):
+        assert "config" not in [field.name for field in dataclasses.fields(ps.SweepSpec)]
 
     def test_photon_budget_fits_numpy_int64(self):
         limit = int(np.iinfo(np.int64).max)
@@ -773,11 +803,14 @@ class TestSweepTable:
         assert table.angle_defined.tolist() == [True] * 5 + [mode == "sampled"]
 
     def test_columns_given_without_a_mask_are_converted(self, tmp_path):
-        # lists with a None angle, as the rows hold them, become the numpy
-        # columns and mask the kernel gives, and read back as they were
+        # the constructor takes only columns with their mask; of_rows makes
+        # rows with a None angle the numpy columns and mask the kernel gives,
+        # and they read back as they were
         table = _swept_table("exact", 6)
         rows = list(table)
-        given = SweepTable(*map(list, zip(*rows)))
+        with pytest.raises(TypeError):
+            SweepTable(*map(list, zip(*rows)))
+        given = SweepTable.of_rows(rows)
         assert [column.dtype for column in given.columns] == [
             column.dtype for column in table.columns]
         assert np.array_equal(given.angle_defined, table.angle_defined)
