@@ -2,7 +2,7 @@
 photon siphon-and-inject eavesdropping by tracking both beam intensity and the
 received density matrix (via simulated quantum state tomography)."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .polarization import (
     DensityMatrix,

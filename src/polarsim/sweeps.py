@@ -113,12 +113,10 @@ class SweepRecord(NamedTuple):
 class SweepTable(Sequence):
     """Read-only SweepRecord rows kept as five numpy columns, one per field.
 
-    Siphon totals are int64 (as objects when one is not an int within
-    int64), lambda_max, peak angle and purity float64 and detected bool;
-    `angle_defined` is the bool mask of the rows whose peak angle is not
-    None, which is held as NaN. The constructor takes the columns and mask
-    as they are; of_rows converts rows to them once: a float cell that
-    `%.6f` would refuse (a string, an int beyond float) raises as `%` does.
+    Siphon totals are int64, lambda_max, peak angle and purity float64 and
+    detected bool; `angle_defined` is the bool mask of the rows whose peak
+    angle is not None, which is held as NaN. The constructor takes the
+    columns and mask as they are.
 
     A row is read with Python values (an int, floats, None or a float, a
     bool), from lists the first read builds once; a slice is a table of the
@@ -133,16 +131,6 @@ class SweepTable(Sequence):
         self.columns = (siphon_total, lambda_max, peak_angle_deg, purity, detected)
         self.angle_defined = angle_defined
         self._values = None
-
-    @classmethod
-    def of_rows(cls, rows: Iterable) -> "SweepTable":
-        """The table of `rows`, each five cells in SweepRecord's field order;
-        an iterator is read once."""
-        totals, lambda_max, angles, purity, detected = list(zip(*rows, strict=True)) or [()] * 5
-        lambda_max, purity = _float_column(lambda_max), _float_column(purity)
-        angles, angle_defined = _angle_column(angles)
-        return cls(_total_column(totals), lambda_max, angles, purity,
-                   np.fromiter(map(operator.truth, detected), bool), angle_defined)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -168,33 +156,6 @@ class SweepTable(Sequence):
         # tuple.__new__ builds each row in C; SweepRecord's own __new__ is a
         # Python function, one frame per row
         return map(tuple.__new__, itertools.repeat(SweepRecord), zip(*self._lists()))
-
-
-def _total_column(cells: Sequence) -> np.ndarray:
-    """`cells` as int64 when each is an int within int64, else as objects,
-    each written as `%s` writes it."""
-    if operator.countOf(map(type, cells), int) == len(cells):
-        try:
-            return np.fromiter(cells, np.int64, len(cells))
-        except OverflowError:
-            pass
-    return np.fromiter(cells, object, len(cells))
-
-
-def _float_column(cells: Iterable) -> np.ndarray:
-    """`cells` as a float64 array, each refused as `%.6f` refuses it: by
-    array('d'), which converts by the same rule (np.asarray would turn None
-    into NaN)."""
-    from array import array  # an extension module, so not at `import polarsim`
-
-    return np.asarray(array("d", cells))
-
-
-def _angle_column(cells: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-    """`cells`, peak angles, as a float64 column with NaN for None, and the
-    mask of the cells that are not None."""
-    defined = np.array([cell is not None for cell in cells], bool)
-    return _float_column(math.nan if cell is None else cell for cell in cells), defined
 
 
 def _point_seed(base_seed: int, siphon_total: int) -> int:
@@ -225,10 +186,16 @@ def sweep_siphon(spec: SweepSpec) -> SweepTable:
     """One protocol run per siphon total, split evenly across the two stages.
 
     Exact mode evaluates every total in one call of the Bloch-vector kernel;
-    sampled mode runs the protocol once per total.
+    sampled mode runs the protocol once per total, and its table's columns
+    are made from the points' Python values (a None angle as NaN).
     """
     if spec.mode == "sampled":
-        return SweepTable.of_rows([_sampled_point(spec, total) for total in spec.siphon_totals])
+        points = [_sampled_point(spec, total) for total in spec.siphon_totals]
+        totals, lambda_max, angles, purity, detected = list(zip(*points)) or [()] * 5
+        return SweepTable(np.array(totals, np.int64), np.array(lambda_max, float),
+                          np.array(angles, float), np.array(purity, float),
+                          np.array(detected, bool),
+                          np.array([angle is not None for angle in angles], bool))
     totals = np.fromiter(spec.siphon_totals, np.int64, len(spec.siphon_totals))
     half = totals // 2
     s1, s3 = received_stokes(
@@ -471,15 +438,14 @@ def _write_rows(path, header: str, count: int, block_pieces) -> None:
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc
 
 
-def write_csv(records: Iterable[SweepRecord], path) -> None:
-    """Write a siphon-sweep CSV; byte-identical across runs for exact mode.
+def write_csv(table: SweepTable, path) -> None:
+    """Write sweep_siphon's table as a siphon-sweep CSV; byte-identical
+    across runs for exact mode.
 
-    A SweepTable's numpy columns are formatted as they are; other rows are
-    first made one by of_rows. Each block of rows is formatted in numpy: the
+    Each block of rows is formatted from the table's numpy columns: the
     totals by _total_cells, the three floats by one _decimal_cells call,
     detected as true or false.
     """
-    table = records if isinstance(records, SweepTable) else SweepTable.of_rows(records)
     totals, lambda_max, angles, purity, detected = table.columns
     detected_cells = _cell_tables()[2]
 
@@ -491,31 +457,19 @@ def write_csv(records: Iterable[SweepRecord], path) -> None:
     _write_rows(path, SWEEP_CSV_HEADER, len(table), block_pieces)
 
 
-def write_delta_family_csv(table: Mapping[Tuple[float, float], SweepRecord], path) -> None:
-    """Write a delta-family CSV, its rows sorted by gap, then by fraction.
+def write_delta_family_csv(table: DeltaFamilyTable, path) -> None:
+    """Write sweep_delta_family's table as a delta-family CSV, its rows
+    sorted by gap, then by fraction.
 
-    A DeltaFamilyTable is written from its sorted axes and its rows' numpy
-    columns, which are already in that order: each gap and fraction is
-    formatted once, and its cell repeated over its rows. The keys of any
-    other mapping are sorted and each key column formatted as a whole; of
-    its rows only the two columns written, lambda_max and the angle, are
-    converted, as of_rows converts them. The floats are formatted as
-    write_csv formats them.
+    The table's sorted axes and its rows' numpy columns are already in that
+    order: each gap and fraction is formatted once, and its cell repeated
+    over its rows. The floats are formatted as write_csv formats them.
     """
-    if isinstance(table, DeltaFamilyTable):
-        gaps, fractions = (_decimal_cells(_float_column(sorted(axis)))
-                           for axis in (table.delta_rank, table.fraction_rank))
-        gap_cells, fraction_cells = np.repeat(gaps, len(fractions)), np.tile(fractions, len(gaps))
-        _, lambda_max, angles, _, _ = table.records.columns
-        angle_defined = table.records.angle_defined
-    else:
-        keys = sorted(table)
-        records = map(table.__getitem__, keys)
-        _, lambda_max, angles, _, _ = list(zip(*records, strict=True)) or [()] * 5
-        lambda_max = _float_column(lambda_max)
-        angles, angle_defined = _angle_column(angles)
-        gap_cells, fraction_cells = (_decimal_cells(_float_column(axis))
-                                     for axis in (list(zip(*keys)) or [()] * 2))
+    gaps, fractions = (_decimal_cells(np.array(sorted(axis), float))
+                       for axis in (table.delta_rank, table.fraction_rank))
+    gap_cells, fraction_cells = np.repeat(gaps, len(fractions)), np.tile(fractions, len(gaps))
+    _, lambda_max, angles, _, _ = table.records.columns
+    angle_defined = table.records.angle_defined
 
     def block_pieces(rows):
         return [gap_cells[rows], b",", fraction_cells[rows],

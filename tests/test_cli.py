@@ -849,8 +849,8 @@ def test_readme_command_bytes(capsys, tmp_path, monkeypatch, name, command, dige
 
 def test_import_loads_only_the_package_modules():
     # start-up work: `import polarsim`, in a fresh interpreter, loads its four
-    # modules and no other of the package, and not `array`, which the sweep
-    # writers import on first use
+    # modules and no other of the package, and not `array`, which no package
+    # module imports
     src = str(Path(ps.__file__).resolve().parents[1])
     script = ("import sys, polarsim; print(sorted(m for m in sys.modules "
               "if m.split('.')[0] == 'polarsim')); print('array' in sys.modules)")

@@ -414,28 +414,23 @@ def test_delta_family_shuffled_grid_csv_golden_bytes(tmp_path):
     write_delta_family_csv(table, path)
     assert len(path.read_text().splitlines()) == 1 + 4131
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SHUFFLED_GRID_CSV_SHA256
-    write_delta_family_csv(dict(table), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHUFFLED_GRID_CSV_SHA256
 
 
 class TestCsvOutput:
     def test_empty_records(self, tmp_path):
         path = tmp_path / "empty.csv"
-        ps.write_csv([], path)
+        ps.write_csv(table_of([]), path)
         assert path.read_text() == "siphon_total,lambda_max,peak_angle_deg,purity,detected\n"
 
     def test_single_record_formatting(self, tmp_path):
         path = tmp_path / "one.csv"
-        ps.write_csv(
-            [ps.SweepRecord(0, 1.0, 30.0, 1.0, False)],
-            path,
-        )
+        ps.write_csv(table_of([ps.SweepRecord(0, 1.0, 30.0, 1.0, False)]), path)
         lines = path.read_text().splitlines()
         assert lines[1] == "0,1.000000,30.000000,1.000000,false"
 
     def test_undefined_angle_renders_empty(self, tmp_path):
         path = tmp_path / "deg.csv"
-        ps.write_csv([ps.SweepRecord(100, 0.5, None, 0.5, True)], path)
+        ps.write_csv(table_of([ps.SweepRecord(100, 0.5, None, 0.5, True)]), path)
         assert path.read_text().splitlines()[1] == "100,0.500000,,0.500000,true"
 
     def test_worked_example_row_value(self, tmp_path):
@@ -468,7 +463,7 @@ class TestCsvOutput:
         lines = path.read_text().splitlines()
         assert lines[1].startswith("0.000000,0.000000,")
         assert not any("-0.000000" in line for line in lines)
-        ps.write_csv([ps.SweepRecord(0, -1e-9, -0.0, -0.0, False)], path)
+        ps.write_csv(table_of([ps.SweepRecord(0, -1e-9, -0.0, -0.0, False)]), path)
         assert path.read_text().splitlines()[1] == "0,0.000000,0.000000,0.000000,false"
 
     # sha256 of this sweep's CSV, recorded before the writers formatted cells in numpy
@@ -487,7 +482,15 @@ class TestCsvOutput:
 
     def test_unwritable_path_reports_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
-            ps.write_csv([], tmp_path / "no" / "such" / "dir.csv")
+            ps.write_csv(table_of([]), tmp_path / "no" / "such" / "dir.csv")
+
+    def test_rows_or_a_dict_are_refused(self, tmp_path):
+        # each writer takes its sweep's table; other input fails before a file opens
+        with pytest.raises(AttributeError):
+            ps.write_csv(list(_swept_table("exact", 6)), tmp_path / "sweep.csv")
+        with pytest.raises(AttributeError):
+            write_delta_family_csv(dict(ps.sweep_delta_family()), tmp_path / "family.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _fmt(x):
@@ -498,6 +501,16 @@ def _fmt(x):
 
 def _fmt_angle(angle):
     return "" if angle is None else _fmt(angle)
+
+
+def table_of(rows):
+    """The SweepTable of `rows`, each five cells in SweepRecord's field
+    order: numpy columns, a None angle as NaN, and the mask of the angles
+    that are not None."""
+    totals, lambda_max, angles, purity, detected = list(zip(*rows)) or [()] * 5
+    return SweepTable(np.array(totals, np.int64), np.array(lambda_max, float),
+                      np.array(angles, float), np.array(purity, float), np.array(detected, bool),
+                      np.array([angle is not None for angle in angles], bool))
 
 
 def reference_csv(records):
@@ -523,15 +536,22 @@ def reference_delta_family_csv(table):
 
 
 floats = st.floats() | st.floats().map(np.float64)
+int64s = st.integers(-2**63, 2**63 - 1)
 records = st.builds(
     ps.SweepRecord,
-    st.integers() | st.integers(-2**63, 2**63 - 1).map(np.int64),
+    int64s | int64s.map(np.int64),
     floats,
     st.none() | floats,
     floats,
     st.booleans() | st.booleans().map(np.bool_),
 )
-keys = st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False))
+
+
+# a grid axis in drawn order: unique=True draws no two equal values, so
+# neither -0.0 and 0.0 nor 15 and 15.0
+gaps = st.lists(st.floats(-360.0, 360.0) | st.integers(-360, 360), min_size=1, max_size=8,
+                unique=True)
+eve_fractions = st.lists(st.floats(0.0, 0.5), min_size=1, max_size=8, unique=True)
 
 
 def random_records(n, seed):
@@ -542,14 +562,6 @@ def random_records(n, seed):
             for _ in range(n)]
 
 
-def random_table(n, seed):
-    """n records under distinct (delta, fraction) keys, inserted unsorted."""
-    rng = random.Random(seed)
-    grid = {(rng.uniform(-90, 90), rng.random()) for _ in range(n)}
-    assert len(grid) == n
-    return dict(zip(rng.sample(sorted(grid), n), random_records(n, seed)))
-
-
 class TestCsvWriterMatchesPerRowRendering:
     """write_csv and write_delta_family_csv format rows in blocks; their bytes
     are the per-row f-string rendering's."""
@@ -558,14 +570,18 @@ class TestCsvWriterMatchesPerRowRendering:
     @given(st.lists(records, max_size=20))
     def test_sweep_rows(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("csv") / "sweep.csv"
-        ps.write_csv(rows, path)
+        ps.write_csv(table_of(rows), path)
         assert path.read_bytes() == reference_csv(rows).encode()
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(keys, records), max_size=20, unique_by=lambda item: item[0]))
-    def test_delta_family_rows(self, tmp_path_factory, items):
-        # keys in drawn order, so the writer's sort is exercised
-        table = dict(items)
+    @given(st.floats(-360.0, 360.0),
+           st.lists(st.floats(-1e9, 1e9) | st.floats(-1e9, 1e9).map(np.float64)
+                    | st.integers(-10**9, 10**9), min_size=1, max_size=8, unique=True),
+           eve_fractions)
+    def test_delta_family_rows(self, tmp_path_factory, base, deltas, fractions):
+        # axes in drawn order, so the writer's sort is exercised; gaps of
+        # 999.5 or more take the formatter's CPython path
+        table = ps.sweep_delta_family(deltas, base, fractions)
         path = tmp_path_factory.mktemp("csv") / "family.csv"
         write_delta_family_csv(table, path)
         assert path.read_bytes() == reference_delta_family_csv(table).encode()
@@ -574,7 +590,7 @@ class TestCsvWriterMatchesPerRowRendering:
         rows = [ps.SweepRecord(np.int64(7), -0.0, angle, np.float64(0.25), np.True_)
                 for angle in (None, -0.0, math.nan, math.inf, -math.inf, np.float64(12.5))]
         path = tmp_path / "special.csv"
-        ps.write_csv(rows, path)
+        ps.write_csv(table_of(rows), path)
         # -0.0 prints without its sign, as format_decimal prints it
         assert path.read_text().splitlines()[1:] == [
             "7,0.000000,,0.250000,true", "7,0.000000,0.000000,0.250000,true",
@@ -587,60 +603,25 @@ class TestCsvWriterMatchesPerRowRendering:
     def test_rows_across_block_edges(self, tmp_path, n):
         rows = random_records(n, n)
         path = tmp_path / "sweep.csv"
-        ps.write_csv(rows, path)
-        assert path.read_bytes() == reference_csv(rows).encode()
-        # a generator is read once, in order
-        ps.write_csv((row for row in rows), path)
+        ps.write_csv(table_of(rows), path)
         assert path.read_bytes() == reference_csv(rows).encode()
 
-    @pytest.mark.parametrize("n", [0, 1, 4097, 8193])
-    def test_delta_family_across_block_edges(self, tmp_path, n):
-        table = random_table(n, n)
+    @pytest.mark.parametrize("n, shape", [(0, None), (1, (1, 1)), (4097, (17, 241)),
+                                          (8193, (3, 2731))], ids=["0", "1", "4097", "8193"])
+    def test_delta_family_across_block_edges(self, tmp_path, n, shape):
+        # grids of n rows in shuffled order, past one and two block edges;
+        # no grid is empty, so the empty table is built by hand
+        if shape is None:
+            table = DeltaFamilyTable({}, {}, ps.sweep_siphon(ps.SweepSpec(30.0, 45.0)))
+        else:
+            rng = random.Random(n)
+            deltas = rng.sample([0.25 * k for k in range(-1440, 1440)], shape[0])
+            fractions = rng.sample([k / 6000 for k in range(3001)], shape[1])
+            table = ps.sweep_delta_family(deltas, rng.uniform(0.0, 180.0), fractions)
+        assert len(table) == n
         path = tmp_path / "family.csv"
         write_delta_family_csv(table, path)
         assert path.read_bytes() == reference_delta_family_csv(table).encode()
-
-    @pytest.mark.parametrize("bad_row", [0, 5000])
-    def test_unformattable_record_leaves_no_file(self, tmp_path, bad_row):
-        # every block is formatted before the file is opened, also when the
-        # bad record sits in a later block than the first
-        rows = random_records(8193, 0)
-        rows[bad_row] = rows[bad_row]._replace(lambda_max=None)
-        path = tmp_path / "sweep.csv"
-        with pytest.raises(TypeError):
-            ps.write_csv(rows, path)
-        table = dict(zip(random_table(8193, 0), rows))
-        with pytest.raises(TypeError):
-            write_delta_family_csv(table, path)
-        assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("cell", [None, "0.5", b"1", 10**400, 1j, [0.5]],
-                         ids=["none", "str", "bytes", "huge-int", "complex", "list"])
-@pytest.mark.parametrize("field", ["lambda_max", "peak_angle_deg", "purity"])
-def test_a_cell_that_percent_refuses_is_refused_alike(tmp_path, field, cell):
-    # the writers convert float cells by array('d'), which refuses what
-    # "%.6f" refuses with the same exception; a None angle is an empty cell
-    path = tmp_path / "sweep.csv"
-    rows = random_records(3, 1)
-    rows[1] = rows[1]._replace(**{field: cell})
-    if cell is None and field == "peak_angle_deg":
-        ps.write_csv(rows, path)
-        assert path.read_bytes() == reference_csv(rows).encode()
-        return
-    with pytest.raises(Exception) as percent:
-        "%.6f" % (cell,)
-    with pytest.raises(percent.type):
-        ps.write_csv(rows, path)
-    assert not path.exists()
-    family = dict(zip(random_table(3, 1), rows))
-    if field == "purity":  # a delta-family CSV has no purity column to convert
-        write_delta_family_csv(family, path)
-        assert path.read_bytes() == reference_delta_family_csv(family).encode()
-        return
-    with pytest.raises(percent.type):
-        write_delta_family_csv(family, path)
-    assert not path.exists()
 
 
 def _decimal_texts(values):
@@ -701,27 +682,6 @@ class TestDecimalCells:
         # a value of CPython's text widens every cell; the others keep theirs
         values = [0.25, 1e300, -7.5, math.nan, 180.0]
         assert _decimal_texts(values) == list(map(_fmt, values))
-
-
-def test_delta_family_key_values_that_share_a_cell(tmp_path):
-    # the writer formats each distinct gap and fraction value once, so
-    # values equal as keys share one cell: -0.0 and 0.0, 0.5 as a float
-    # and as np.float64, the int 15 and 15.0; and a NaN gap keeps its own
-    keys = [(-0.0, 0.1), (0.0, 0.2), (7.5, -0.0), (30.0, 0.0),
-            (0.5, np.float64(0.5)), (np.float64(0.5), 0.25), (15, 0.5), (15.0, 0.3),
-            (-7.5, 0.35), (math.nan, 0.1)]
-    table = dict(zip(keys, random_records(len(keys), 3)))
-    assert len(table) == len(keys)
-    path = tmp_path / "family.csv"
-    write_delta_family_csv(table, path)
-    assert path.read_bytes() == reference_delta_family_csv(table).encode()
-    cells = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
-    assert sorted(map(tuple, cells)) == sorted([
-        ("0.000000", "0.100000"), ("0.000000", "0.200000"), ("7.500000", "0.000000"),
-        ("30.000000", "0.000000"), ("0.500000", "0.500000"), ("0.500000", "0.250000"),
-        ("15.000000", "0.500000"), ("15.000000", "0.300000"), ("-7.500000", "0.350000"),
-        ("nan", "0.100000"),
-    ])
 
 
 def _assert_row_types(row):
@@ -802,24 +762,21 @@ class TestSweepTable:
         assert np.array_equal(np.isnan(table.columns[2]), ~table.angle_defined)
         assert table.angle_defined.tolist() == [True] * 5 + [mode == "sampled"]
 
-    def test_columns_given_without_a_mask_are_converted(self, tmp_path):
-        # the constructor takes only columns with their mask; of_rows makes
-        # rows with a None angle the numpy columns and mask the kernel gives,
-        # and they read back as they were
-        table = _swept_table("exact", 6)
-        rows = list(table)
+    def test_columns_given_without_a_mask_are_refused(self):
+        # the constructor takes only numpy columns with their mask
         with pytest.raises(TypeError):
-            SweepTable(*map(list, zip(*rows)))
-        given = SweepTable.of_rows(rows)
-        assert [column.dtype for column in given.columns] == [
-            column.dtype for column in table.columns]
-        assert np.array_equal(given.angle_defined, table.angle_defined)
-        assert list(given) == rows and given[-1] == rows[-1]
-        for row in given:
-            _assert_row_types(row)
-        path = tmp_path / "given.csv"
-        ps.write_csv(given, path)
-        assert path.read_bytes() == reference_csv(rows).encode()
+            SweepTable(*map(list, zip(*_swept_table("exact", 6))))
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_empty_sweep(self, tmp_path, mode):
+        table = ps.sweep_siphon(ps.SweepSpec(30.0, 45.0, mode=mode))
+        assert len(table) == 0 and list(table) == []
+        assert [column.dtype for column in table.columns] == [
+            np.int64, np.float64, np.float64, np.float64, np.bool_]
+        assert table.angle_defined.dtype == np.bool_ and len(table.angle_defined) == 0
+        path = tmp_path / "empty.csv"
+        ps.write_csv(table, path)
+        assert path.read_text() == SWEEP_CSV_HEADER + "\n"
 
     @pytest.mark.parametrize("n", [4095, 4096, 4097, 8193])
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
@@ -832,10 +789,9 @@ class TestSweepTable:
             table = SweepTable(totals, lambda_max, angles, purity, detected, defined)
         assert len(table) == n and not table.angle_defined.all()
         assert table.columns[2].dtype == np.float64
-        from_table, from_rows = tmp_path / "table.csv", tmp_path / "rows.csv"
-        ps.write_csv(table, from_table)
-        ps.write_csv(list(table), from_rows)
-        assert from_table.read_bytes() == from_rows.read_bytes() == reference_csv(table).encode()
+        path = tmp_path / "table.csv"
+        ps.write_csv(table, path)
+        assert path.read_bytes() == reference_csv(table).encode()
 
 
 def family_as_dict(deltas, base_theta, fractions):
@@ -848,13 +804,6 @@ def family_as_dict(deltas, base_theta, fractions):
     totals = [round(100 * fraction) for fraction in fractions] * len(deltas)
     records = _exact_records(totals, (1.0 - f) * a1 + f * b1, (1.0 - f) * a3 + f * b3, theta)
     return dict(zip(itertools.product(deltas, fractions), records))
-
-
-# a grid axis in drawn order: unique=True draws no two equal values, so
-# neither -0.0 and 0.0 nor 15 and 15.0
-gaps = st.lists(st.floats(-360.0, 360.0) | st.integers(-360, 360), min_size=1, max_size=8,
-                unique=True)
-eve_fractions = st.lists(st.floats(0.0, 0.5), min_size=1, max_size=8, unique=True)
 
 
 class TestDeltaFamilyTable:
@@ -928,11 +877,10 @@ class TestDeltaFamilyTable:
     @given(st.floats(-360.0, 360.0), gaps, eve_fractions)
     def test_csv_from_axes_equals_csv_from_dict(self, tmp_path_factory, base, deltas, fractions):
         table = ps.sweep_delta_family(deltas, base, fractions)
-        directory = tmp_path_factory.mktemp("csv")
-        write_delta_family_csv(table, directory / "table.csv")
-        write_delta_family_csv(dict(table), directory / "dict.csv")
-        assert ((directory / "table.csv").read_bytes() == (directory / "dict.csv").read_bytes()
-                == reference_delta_family_csv(table).encode())
+        path = tmp_path_factory.mktemp("csv") / "table.csv"
+        write_delta_family_csv(table, path)
+        expected = family_as_dict(deltas, base, fractions)
+        assert path.read_bytes() == reference_delta_family_csv(expected).encode()
 
     @pytest.mark.parametrize("deltas, fractions", [
         ((45.0,), (0.5, 0.0, 0.25)), ((90.0, -7.5, 0.0), (0.5,)), ((-0.0,), (-0.0,)),
@@ -940,7 +888,6 @@ class TestDeltaFamilyTable:
     def test_csv_of_a_grid_with_one_value_on_an_axis(self, tmp_path, deltas, fractions):
         table = ps.sweep_delta_family(deltas, 0.0, fractions)
         write_delta_family_csv(table, tmp_path / "table.csv")
-        write_delta_family_csv(dict(table), tmp_path / "dict.csv")
         text = (tmp_path / "table.csv").read_text()
-        assert text == (tmp_path / "dict.csv").read_text() == reference_delta_family_csv(table)
+        assert text == reference_delta_family_csv(table)
         assert len(text.splitlines()) == 1 + len(deltas) * len(fractions)
